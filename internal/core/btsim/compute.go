@@ -3,7 +3,6 @@ package btsim
 import (
 	"repro/internal/bt"
 	"repro/internal/cost"
-	"repro/internal/dbsp"
 )
 
 // compute simulates the local computation of superstep s for the
@@ -14,9 +13,8 @@ import (
 // the room the shifts and swaps need. Overhead is O(µ·n·c*(n)).
 func (st *state) compute(n int64, firstProc, s int) {
 	if n == 1 {
-		store := &btStore{m: st.m, base: 0}
-		c := dbsp.NewCtx(store, st.layout, firstProc, st.v, st.prog.Steps[s].Label)
-		st.prog.Steps[s].Run(c)
+		st.ctx.Reset(firstProc, st.prog.Steps[s].Label)
+		st.prog.Steps[s].Run(st.ctx)
 		return
 	}
 	mu := st.mu

@@ -32,14 +32,16 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		m.PokeRange(int64(p)*mu, ctx)
 	}
 
+	store := &hmmStore{m: m}
+	c := dbsp.NewCtx(store, l, 0, v, 0)
 	for s, step := range prog.Steps {
 		if step.Run == nil {
 			continue
 		}
 		// Local computation, context in place at block p.
 		for p := 0; p < v; p++ {
-			store := &hmmStore{m: m, base: int64(p) * mu}
-			c := dbsp.NewCtx(store, l, p, v, step.Label)
+			store.base = int64(p) * mu
+			c.Reset(p, step.Label)
 			func() {
 				defer func() {
 					if r := recover(); r != nil {

@@ -108,6 +108,12 @@ type state struct {
 	labelOff int
 	observer func(round int64, step, label int, procOfBlock []int)
 
+	// The handler view, reused for every processor the state runs:
+	// simulateStep moves store.base to the processor's block and
+	// rebinds ctx to its id and label.
+	store hmmStore
+	ctx   *dbsp.Ctx
+
 	// Observability (all nil-safe; nil when opts.Obs is nil).
 	obs           *obs.Observer
 	costCompute   *obs.FloatCounter // handler work + context accesses
@@ -248,7 +254,9 @@ func newState(m *hmm.Machine, run *dbsp.Program, layout dbsp.Layout, opts *Optio
 		globalV:  globalV,
 		labelOff: opts.LabelOffset,
 		observer: opts.Observer,
+		store:    hmmStore{m: m},
 	}
+	st.ctx = dbsp.NewCtx(&st.store, layout, 0, globalV, 0)
 	for p := 0; p < run.V; p++ {
 		st.posOf[p] = p
 		st.procOf[p] = p
@@ -399,11 +407,11 @@ func (st *state) simulateStep(s, lo, csize int) {
 	// the first µ·|C| cells, so each of the O(µ) handler operations
 	// costs at most f(µ·|C|) — and saves the 8µ swap accesses per
 	// processor per superstep that a literal bring-to-top would charge.
+	label := st.labelOff + st.prog.Steps[s].Label
 	for k := 0; k < csize; k++ {
-		q := st.procOff + lo + k
-		store := &hmmStore{m: st.m, base: int64(k) * mu}
-		c := dbsp.NewCtx(store, l, q, st.globalV, st.labelOff+st.prog.Steps[s].Label)
-		st.prog.Steps[s].Run(c)
+		st.store.base = int64(k) * mu
+		st.ctx.Reset(st.procOff+lo+k, label)
+		st.prog.Steps[s].Run(st.ctx)
 	}
 	if st.obs != nil {
 		now := st.m.Cost()

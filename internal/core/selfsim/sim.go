@@ -90,7 +90,10 @@ func Simulate(prog *dbsp.Program, g cost.Func, vPrime int, opts *Options) (*Resu
 		mu:      int64(prog.Mu()),
 		layout:  prog.Layout,
 		opts:    opts,
+		inbox:   make([][]message, vPrime),
+		sent:    make([]int, vPrime),
 	}
+	s.ctx = dbsp.NewCtx(&s.store, prog.Layout, 0, prog.V, 0)
 	s.modules = make([]*hmm.Machine, vPrime)
 	init := dbsp.NewContexts(prog)
 	for j := 0; j < vPrime; j++ {
@@ -160,6 +163,17 @@ type sim struct {
 	layout  dbsp.Layout
 	opts    *Options
 	modules []*hmm.Machine
+
+	// Per-superstep scratch of globalStep, reused across supersteps:
+	// inbox[j] holds the guest messages bound for host j, sent[j] the
+	// count host j sent.
+	inbox [][]message
+	sent  []int
+	// The handler view globalStep reuses for every guest processor: it
+	// points store at the host module and the guest's block and
+	// rebinds ctx to the guest's id and label.
+	store moduleStore
+	ctx   *dbsp.Ctx
 
 	moduleCost  float64
 	commCost    float64
@@ -273,19 +287,22 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	costBefore := s.moduleCost + s.commCost
 	l := s.layout
 	mu := s.mu
-	inbox := make([][]message, s.vPrime)
-	sent := make([]int, s.vPrime)
+	inbox, sent := s.inbox, s.sent
+	for j := range inbox {
+		inbox[j] = inbox[j][:0]
+	}
+	clear(sent)
 
 	// Phase A: local computation and outbox collection, per host.
 	var maxDelta float64
 	for j := 0; j < s.vPrime; j++ {
 		m := s.modules[j]
 		before := m.Cost()
+		s.store.m = m
 		for k := 0; k < s.perHost; k++ {
-			q := j*s.perHost + k
-			store := &moduleStore{m: m, base: int64(k) * mu}
-			c := dbsp.NewCtx(store, l, q, s.prog.V, st.Label)
-			st.Run(c)
+			s.store.base = int64(k) * mu
+			s.ctx.Reset(j*s.perHost+k, st.Label)
+			st.Run(s.ctx)
 		}
 		// Collect and clear the outboxes (charged module traffic).
 		for k := 0; k < s.perHost; k++ {

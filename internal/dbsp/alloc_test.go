@@ -1,0 +1,62 @@
+package dbsp_test
+
+import (
+	"testing"
+
+	"repro/internal/cost"
+	"repro/internal/dbsp"
+	"repro/internal/progtest"
+)
+
+// allocLabels is one Rotate pass per label 0..7: valid at both machine
+// sizes, so the two runs execute the same supersteps.
+var allocLabels = []int{7, 6, 5, 4, 3, 2, 1, 0}
+
+// TestEngineAllocsIndependentOfV is the allocation gate of the handler
+// path. The engines reuse one handler view per worker or shard, so
+// nothing they allocate per processor-step scales with v. The growth
+// bounds below are the measured extra objects a run at v = 2^12
+// allocates over the same program at v = 2^8: none on the native
+// engine, and on the sharded engine only the append doublings of its
+// exchange buckets, which grow to the larger message volume once per
+// run and are then reused (O(shards²·log v) objects in all).
+// Allocating a store and a Ctx per processor-step, as the engines once
+// did, grows by 2·(2^12−2^8)·9 = 69120 objects on this program.
+// testing.AllocsPerRun pins GOMAXPROCS to 1, so the native leg measures
+// the inline one-worker path; sharded4 runs its shards on goroutines.
+func TestEngineAllocsIndependentOfV(t *testing.T) {
+	g := cost.Poly{Alpha: 0.5}
+	engines := []struct {
+		name   string
+		growth float64
+		run    func(*dbsp.Program) error
+	}{
+		{"native", 0, func(p *dbsp.Program) error { _, err := dbsp.Run(p, g); return err }},
+		{"sharded1", 8, func(p *dbsp.Program) error { _, err := dbsp.RunSharded(p, g, 1); return err }},
+		{"sharded4", 28, func(p *dbsp.Program) error { _, err := dbsp.RunSharded(p, g, 4); return err }},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			small, big := allocsOf(t, e.run, 1<<8), allocsOf(t, e.run, 1<<12)
+			t.Logf("allocs per run: v=2^8 %.0f, v=2^12 %.0f", small, big)
+			if big-small > e.growth {
+				t.Fatalf("allocations grow with v: %.0f at v=2^8, %.0f at v=2^12 (bound +%.0f); a per-processor allocation is back on the handler path",
+					small, big, e.growth)
+			}
+		})
+	}
+}
+
+// allocsOf reports the mean objects one run of Rotate(v) allocates.
+func allocsOf(t *testing.T, run func(*dbsp.Program) error, v int) float64 {
+	t.Helper()
+	prog := progtest.Rotate(v, allocLabels...)
+	if err := run(prog); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(50, func() {
+		if err := run(prog); err != nil {
+			panic(err)
+		}
+	})
+}

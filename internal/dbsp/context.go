@@ -81,15 +81,31 @@ func (s *sliceStore) Work(n int64)        { s.ops += n }
 
 // NewCtx wraps a Store in the handler-facing context view. It is the
 // hook the sequential simulators use to execute guest handlers against
-// contexts living in simulated hierarchical memory.
+// contexts living in simulated hierarchical memory. A simulator builds
+// one Ctx per run and rebinds it to each processor in turn with Reset,
+// repointing its own store at that processor's context; the handler
+// lifetime rule on Ctx is what makes the reuse sound.
 func NewCtx(st Store, layout Layout, id, v, label int) *Ctx {
 	return &Ctx{st: st, layout: layout, id: id, v: v, label: label}
+}
+
+// Reset rebinds c to processor id executing a label superstep. The
+// store is not touched: the caller moves it to id's context itself.
+func (c *Ctx) Reset(id, label int) {
+	c.id, c.label = id, label
 }
 
 // Ctx is the view a superstep handler has of its processor: local
 // memory plus message primitives. Handlers must be deterministic
 // functions of the context contents — the sequential simulators
 // re-execute them processor by processor in cluster-schedule order.
+//
+// A handler may use its *Ctx only until it returns. Every engine and
+// simulator reuses one Ctx for all the processors it runs in turn (one
+// per worker, shard or simulation), so a retained pointer would later
+// read and write another processor's context. The stepconfine analyzer
+// rejects the common form of retention, a Run closure assigning c to
+// a captured variable.
 type Ctx struct {
 	st     Store
 	layout Layout

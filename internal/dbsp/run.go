@@ -95,25 +95,29 @@ func runStepHooked(prog *Program, ctxs [][]Word, st Superstep, collect func(), v
 	if workers > v {
 		workers = v
 	}
-	var wg sync.WaitGroup
-	chunk := (v + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > v {
-			hi = v
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for p := lo; p < hi; p++ {
-				runProc(prog, ctxs, st, p, &ops[p], &errs[p])
+	if workers == 1 {
+		// One worker runs inline, like the sharded engine at one shard:
+		// no goroutine and no barrier per superstep.
+		runRange(prog, ctxs, st, 0, v, ops, errs)
+	} else {
+		var wg sync.WaitGroup
+		chunk := (v + workers - 1) / workers
+		for w := 0; w < workers; w++ {
+			lo, hi := w*chunk, (w+1)*chunk
+			if hi > v {
+				hi = v
 			}
-		}(lo, hi)
+			if lo >= hi {
+				break
+			}
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				runRange(prog, ctxs, st, lo, hi, ops, errs)
+			}(lo, hi)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	for p, err := range errs {
 		if err != nil {
@@ -139,6 +143,15 @@ func runStepHooked(prog *Program, ctxs [][]Word, st Superstep, collect func(), v
 	}
 	sc.H = h
 	return sc, nil
+}
+
+// runRange runs the handlers of processors [lo, hi) on one worker's
+// runner, recording each processor's ops and error in its own slot.
+func runRange(prog *Program, ctxs [][]Word, st Superstep, lo, hi int, ops []int64, errs []error) {
+	r := newProcRunner(prog, st.Label)
+	for p := lo; p < hi; p++ {
+		r.runProc(ctxs, st, p, &ops[p], &errs[p])
+	}
 }
 
 // stepBuffers holds the per-superstep scratch slices of one engine run.
@@ -182,18 +195,37 @@ func verifyTranspose(prog *Program, ctxs [][]Word, st Superstep) error {
 	return nil
 }
 
-// runProc executes the handler for one processor, translating model
-// violations (which Ctx reports by panicking) into errors.
-func runProc(prog *Program, ctxs [][]Word, st Superstep, p int, ops *int64, errOut *error) {
+// procRunner is the reusable handler view of one native worker or one
+// shard: a store and a Ctx that runProc rebinds to each processor the
+// worker runs, so a superstep allocates one runner per worker instead
+// of a store and a Ctx per processor. A runner is allocated inside its
+// worker's goroutine and never shared: the store's ops counter is
+// written on every Load and Put, so runners packed side by side in one
+// slice would false-share cache lines across workers.
+type procRunner struct {
+	store sliceStore
+	ctx   Ctx
+}
+
+func newProcRunner(prog *Program, label int) *procRunner {
+	r := &procRunner{}
+	r.ctx = Ctx{st: &r.store, layout: prog.Layout, v: prog.V, label: label}
+	return r
+}
+
+// runProc executes the handler for processor p on the runner,
+// translating model violations (which Ctx reports by panicking) into
+// errors.
+func (r *procRunner) runProc(ctxs [][]Word, st Superstep, p int, ops *int64, errOut *error) {
 	defer func() {
 		if r := recover(); r != nil {
 			*errOut = fmt.Errorf("handler panic: %v", r)
 		}
 	}()
-	sst := &sliceStore{mem: ctxs[p]}
-	c := &Ctx{st: sst, layout: prog.Layout, id: p, v: prog.V, label: st.Label}
-	st.Run(c)
-	*ops = sst.ops
+	r.store = sliceStore{mem: ctxs[p]}
+	r.ctx.id = p
+	st.Run(&r.ctx)
+	*ops = r.store.ops
 }
 
 // Deliver moves every queued outbox message into its destination inbox

@@ -184,12 +184,13 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 	// first error — the hot loop touches no shared slice.
 	e.parallel(func(s int) {
 		lo, hi := e.span(s)
+		r := newProcRunner(e.prog, st.Label)
 		var tau int64
 		e.errs[s] = nil
 		for p := lo; p < hi; p++ {
 			var ops int64
 			var err error
-			runProc(e.prog, e.ctxs, st, p, &ops, &err)
+			r.runProc(e.ctxs, st, p, &ops, &err)
 			if err != nil {
 				e.errs[s], e.errProcs[s] = err, p
 				return

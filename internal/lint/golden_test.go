@@ -22,6 +22,7 @@ var goldenWant = []string{
 	`internal/badcharge/badcharge.go:31: costcharge: cost phase "route" is charged but missing from costPhases; it would break the phases-partition-the-total invariant`,
 	`internal/badconfine/badconfine.go:14: stepconfine: Run closure writes captured variable "total"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
 	`internal/badconfine/badconfine.go:26: stepconfine: Run closure writes captured variable "log"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
+	`internal/badconfine/badconfine.go:39: stepconfine: Run closure writes captured variable "kept"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
 	"internal/baddetflow/baddetflow.go:35: detflow: argument to Emit is tainted by map-iteration order (baddetflow.go:31) and reaches printed output inside it (baddetflow.go:22): nondeterminism in output breaks the byte-identical sweep contract",
 	"internal/baddetflow/baddetflow.go:58: detflow: value tainted by a wall-clock reading (baddetflow.go:53) via Uptime reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	"internal/baddetflow/baddetflow.go:68: detflow: argument to LogCost is tainted by a wall-clock reading (baddetflow.go:53) via Uptime and reaches printed output inside it (baddetflow.go:63): nondeterminism in output breaks the byte-identical sweep contract",

@@ -18,7 +18,10 @@ import (
 // writes through index/selector/pointer paths) whose base identifier
 // resolves to a variable declared outside the Run closure. Reads of
 // captured variables stay legal: closing over loop indices, lookup
-// tables and input functions is the builders' normal idiom.
+// tables and input functions is the builders' normal idiom. The same
+// check enforces the handler lifetime rule on dbsp.Ctx: saving c in a
+// captured variable is a flagged write, and the engines reuse one Ctx
+// per worker, so a saved pointer would later see another processor.
 var StepConfine = &Analyzer{
 	Name:  "stepconfine",
 	Doc:   "Superstep.Run closures must not write captured variables; per-processor state belongs in the Ctx",

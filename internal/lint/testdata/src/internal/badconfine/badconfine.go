@@ -28,6 +28,21 @@ func WireBad(log []string) dbsp.Superstep {
 	return st
 }
 
+// KeepCtx saves the handler's Ctx in a captured variable: finding.
+// Besides racing, the saved pointer outlives the handler call, and the
+// engines rebind one Ctx to every processor a worker runs, so it would
+// later see another processor's context.
+func KeepCtx(v int) *dbsp.Program {
+	var kept *dbsp.Ctx
+	steps := []dbsp.Superstep{
+		{Label: 0, Run: func(c *dbsp.Ctx) {
+			kept = c
+		}},
+	}
+	_ = kept
+	return &dbsp.Program{Name: "keep", V: v, Steps: steps}
+}
+
 // BuildGood reads captured state (the lookup table and loop constant)
 // and writes only through the Ctx: no findings.
 func BuildGood(v int, pi []int) *dbsp.Program {
