@@ -11,8 +11,9 @@
 //
 // Engines: "native" chunks handler execution over GOMAXPROCS worker
 // goroutines against one flat context arena; "sharded" multiplexes the
-// v processors over -shards per-shard arenas with a two-phase delivery
-// exchange, scaling to v = 2^20 and beyond. Both produce bit-identical
+// v processors over -shards per-shard arenas, running each superstep
+// cluster by cluster when its clusters fit inside shards and through a
+// two-phase exchange otherwise, scaling to v = 2^20 and beyond. Both produce bit-identical
 // results — contexts, per-step costs, totals and error text.
 //
 // Programs: rotate, bcast, prefix, matmul, fft, fftrec, sort, permute,

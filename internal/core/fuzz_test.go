@@ -105,8 +105,11 @@ func TestRandomProgramEquivalence(t *testing.T) {
 // sharded engine and every simulator — and the sharded engine must
 // additionally match the native per-step costs and h-relations bit for
 // bit (the simulators charge their own simulation costs, so only their
-// contexts are compared). shardsRaw exercises shards=1, shards>v and
-// the GOMAXPROCS default (0). Any divergence — in memory contents, in
+// contexts are compared). The sharded engine runs twice: RunSharded
+// takes the fused path on cluster-local supersteps, and
+// RunShardedObserved, whose trace hook disables fusion, takes the
+// two-phase exchange on every superstep. shardsRaw exercises shards=1,
+// shards>v and the GOMAXPROCS default (0). Any divergence — in memory contents, in
 // a charged float64, or in which path rejects the program — is a bug
 // in an engine's delivery, accumulation or layout translation.
 func FuzzEnginesAgree(f *testing.F) {
@@ -132,6 +135,11 @@ func FuzzEnginesAgree(f *testing.F) {
 			t.Fatalf("%s sharded(shards=%d): %v", prog.Name, shards, err)
 		}
 		requireShardedAgrees(t, prog.Name, shards, native, sh)
+		so, _, err := dbsp.RunShardedObserved(prog, af, shards, nil)
+		if err != nil {
+			t.Fatalf("%s sharded observed(shards=%d): %v", prog.Name, shards, err)
+		}
+		requireShardedAgrees(t, prog.Name+" observed", shards, native, so)
 		h, err := OnHMM(prog, af)
 		if err != nil {
 			t.Fatalf("%s hmm(%s): %v", prog.Name, af.Name(), err)

@@ -13,9 +13,12 @@
 //
 // The package provides the machine description, the superstep program
 // representation, the processor-context memory layout shared with the
-// sequential simulators, and a goroutine-parallel native execution
-// engine: one goroutine per processor per superstep, barrier at the
-// superstep boundary — the natural Go rendering of bulk synchrony.
+// sequential simulators, and two execution engines. Run chunks each
+// superstep's handlers over GOMAXPROCS worker goroutines and delivers
+// sequentially at the barrier. RunSharded multiplexes the v processor
+// contexts over a few shards: a superstep whose clusters each fit in
+// one shard runs and delivers cluster by cluster behind one barrier,
+// and the others exchange messages between shards in two phases.
 package dbsp
 
 import (
@@ -62,8 +65,11 @@ func ClusterSize(v, label int) int { return v >> uint(label) }
 // ClusterIndex returns j such that processor p belongs to i-cluster
 // C^(i)_j: the clusters partition processors into contiguous runs of
 // v/2^i, consistent with the binary decomposition tree
-// C^(i)_j = C^(i+1)_{2j} ∪ C^(i+1)_{2j+1}.
-func ClusterIndex(v, label, p int) int { return p / ClusterSize(v, label) }
+// C^(i)_j = C^(i+1)_{2j} ∪ C^(i+1)_{2j+1}. It is defined on the domain
+// Program.Validate enforces — v a power of two, 0 <= label <= log v,
+// 0 <= p < v — where dividing by the cluster size is exactly a right
+// shift by log v − label. Send calls it on every message, so it shifts.
+func ClusterIndex(v, label, p int) int { return p >> uint(Log2(v)-label) }
 
 // ClusterRange returns the processor interval [lo, hi) of i-cluster j.
 func ClusterRange(v, label, j int) (lo, hi int) {

@@ -63,6 +63,24 @@ func TestClusterHelpers(t *testing.T) {
 	}
 }
 
+// TestClusterIndexShiftIsDivision: ClusterIndex shifts instead of
+// dividing, which is exact on the domain Program.Validate enforces.
+// Check it against p / ClusterSize on every point of that domain for
+// v <= 2^10.
+func TestClusterIndexShiftIsDivision(t *testing.T) {
+	for logv := 0; logv <= 10; logv++ {
+		v := 1 << logv
+		for label := 0; label <= logv; label++ {
+			cs := ClusterSize(v, label)
+			for p := 0; p < v; p++ {
+				if got, want := ClusterIndex(v, label, p), p/cs; got != want {
+					t.Fatalf("ClusterIndex(%d, %d, %d) = %d, want %d", v, label, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCommCost(t *testing.T) {
 	g := cost.Poly{Alpha: 0.5}
 	// i-superstep message cost = g(µ v / 2^i): µ=4, v=16, i=2 -> g(16)=4.

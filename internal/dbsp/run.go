@@ -70,8 +70,8 @@ func NewContexts(prog *Program) [][]Word {
 // ids, not one goroutine per processor), a barrier joins the workers,
 // and message delivery happens sequentially at the superstep boundary.
 // It returns the final contexts and the exact model cost. For large v,
-// RunSharded runs the same semantics over per-shard arenas with a
-// parallel two-phase delivery exchange.
+// RunSharded runs the same semantics over per-shard arenas, cluster by
+// cluster where every cluster fits inside a shard.
 func Run(prog *Program, g cost.Func) (*Result, error) {
 	return runHooked(prog, g, nil)
 }
@@ -130,7 +130,7 @@ func runStepHooked(prog *Program, ctxs [][]Word, st Superstep, collect func(), v
 		}
 	}
 	if verify && st.Transpose != nil {
-		if err := verifyTranspose(prog, ctxs, st); err != nil {
+		if err := verifyTranspose(prog, ctxs, st, 0, v); err != nil {
 			return sc, err
 		}
 	}
@@ -173,21 +173,24 @@ func newStepBuffers(v int) *stepBuffers {
 }
 
 // verifyTranspose checks a Superstep.Transpose declaration against the
-// outboxes the handlers actually produced: exactly one message per
-// processor, to the declared destination.
-func verifyTranspose(prog *Program, ctxs [][]Word, st Superstep) error {
+// outboxes the handlers of processors [lo, hi) actually produced:
+// exactly one message per processor, to the declared destination. The
+// native engine checks [0, v) at once; the sharded engine checks each
+// cluster of a cluster-local step right after its handlers run.
+func verifyTranspose(prog *Program, ctxs [][]Word, st Superstep, lo, hi int) error {
 	l := prog.Layout
 	cs := ClusterSize(prog.V, st.Label)
 	tr := st.Transpose
 	if tr.M1*tr.M2 != cs {
 		return fmt.Errorf("transpose declaration %dx%d does not match cluster size %d", tr.M1, tr.M2, cs)
 	}
-	for p, ctx := range ctxs {
+	for p := lo; p < hi; p++ {
+		ctx := ctxs[p]
 		if n := int(ctx[l.OutCountOff()]); n != 1 {
 			return fmt.Errorf("transpose superstep: processor %d sent %d messages, want 1", p, n)
 		}
-		lo := (p / cs) * cs
-		want := lo + tr.Dest(p-lo)
+		base := (p / cs) * cs
+		want := base + tr.Dest(p-base)
 		if got := int(ctx[l.OutboxOff(0)]); got != want {
 			return fmt.Errorf("transpose superstep: processor %d sent to %d, want %d", p, got, want)
 		}

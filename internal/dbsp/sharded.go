@@ -13,17 +13,23 @@ import (
 // scaling to very large v (2^20 processors and beyond): processors are
 // lightweight contexts multiplexed over a small number of shards, each
 // shard owning a contiguous range of processor ids backed by its own
-// arena. Per superstep the engine runs two barriers — handlers, then a
-// two-phase shard-to-shard message exchange — and accumulates τ and
-// errors shard-locally instead of in per-processor slices.
+// arena. A superstep follows the cluster structure of its label, as
+// the paper's simulations do. When every cluster lies inside one shard
+// (cluster-local), each shard runs its clusters one at a time —
+// handlers, Transpose check, delivery — while the cluster's contexts
+// are still in cache, and the step takes one barrier. Otherwise the
+// handlers run behind one barrier and a two-phase exchange moves only
+// the messages that cross a shard boundary through buckets. τ, h and
+// errors accumulate shard-locally instead of in per-processor slices.
 //
 // Bit-identity with the native engine is by construction, not by
 // tolerance: τ is a max over per-processor int64 ops (order
 // independent), h is a max over per-processor int sent/received counts
-// (order independent), errors reduce to the lowest processor id
-// (shards own ascending contiguous ranges, so the ascending-shard
-// reduction finds the same processor the native ascending-p scan
-// does), and the only floating-point arithmetic — the cost fold
+// (order independent), every inbox fills in the native ascending
+// (sender, send index) order, and errors keep the native precedence —
+// handler error, then Transpose violation, then inbox overflow — each
+// reduced across shards to the one the native ascending scan finds
+// first. The only floating-point arithmetic — the cost fold
 // sc.Cost = float64(Tau) + float64(H)·g(µ·v/2^i) accumulated in step
 // order — lives in engineLoop, shared verbatim by both engines.
 // Engines that agree on every integer therefore agree on every charged
@@ -83,10 +89,26 @@ func NewContextsSharded(prog *Program, shards int) [][]Word {
 }
 
 // overflow records the first (lowest sender, lowest send index) inbox
-// overflow a destination shard observed during delivery.
+// overflow a shard observed during delivery.
 type overflow struct {
 	ok             bool
 	src, idx, dest int
+}
+
+// shardResult is what one shard reports to the reduction after a
+// barrier: its τ (max ops over its processors), its first handler error
+// and the processor that raised it, its first Transpose violation
+// (cluster-local steps only), the max messages one of its processors
+// sent and received, and its first inbox overflow. These replace the
+// native engine's per-processor slices — O(shards), not O(v). A task
+// accumulates in locals and writes its slot once, so the hot loops
+// touch no shared memory.
+type shardResult struct {
+	tau        int64
+	errProc    int
+	err, terr  error
+	sent, recv int
+	ovf        overflow
 }
 
 // shardEngine is the per-run state of a sharded execution: the context
@@ -97,27 +119,15 @@ type shardEngine struct {
 	ctxs   [][]Word
 	chunk  int // processors per shard (last shard may be short)
 	shards int // effective shard count: ceil(V/chunk)
+	res    []shardResult
 
-	// Handler-phase accumulators, one entry per shard: the shard's τ
-	// (max ops over its processors), its first handler error and the
-	// processor that raised it. These replace the native engine's
-	// per-processor ops/errs slices — O(shards), not O(v), reduced
-	// after the barrier.
-	taus     []int64
-	errs     []error
-	errProcs []int
-
-	// Exchange-phase accumulators, one entry per shard.
-	sentMax []int // max messages sent by one of the shard's processors
-	recvMax []int // max messages received by one of the shard's processors
-	ovf     []overflow
-
-	// out[s][d] is shard s's outgoing bucket for destination shard d:
-	// flat (src, idx, dest, payload) records in ascending (src, idx)
-	// order, reused across supersteps via [:0]. idx is the message's
-	// send index within its sender's outbox — with src it ranks
-	// messages in the native engine's global delivery-scan order, which
-	// is what makes cross-shard overflow reporting exact.
+	// out[s][d] is shard s's outgoing bucket for destination shard
+	// d != s: flat (src, idx, dest, payload) records in ascending
+	// (src, idx) order, reused across supersteps via [:0]. idx is the
+	// message's send index within its sender's outbox — with src it
+	// ranks messages in the native engine's global delivery-scan order,
+	// which is what makes cross-shard overflow reporting exact.
+	// Messages that stay inside their shard never enter a bucket.
 	out [][][]Word
 }
 
@@ -126,17 +136,12 @@ func newShardEngine(prog *Program, shards int) *shardEngine {
 	chunk := (prog.V + shards - 1) / shards
 	shards = (prog.V + chunk - 1) / chunk // drop shards the rounding left empty
 	e := &shardEngine{
-		prog:     prog,
-		ctxs:     newContextsChunked(prog, chunk),
-		chunk:    chunk,
-		shards:   shards,
-		taus:     make([]int64, shards),
-		errs:     make([]error, shards),
-		errProcs: make([]int, shards),
-		sentMax:  make([]int, shards),
-		recvMax:  make([]int, shards),
-		ovf:      make([]overflow, shards),
-		out:      make([][][]Word, shards),
+		prog:   prog,
+		ctxs:   newContextsChunked(prog, chunk),
+		chunk:  chunk,
+		shards: shards,
+		res:    make([]shardResult, shards),
+		out:    make([][][]Word, shards),
 	}
 	for s := range e.out {
 		e.out[s] = make([][]Word, shards)
@@ -170,56 +175,59 @@ func (e *shardEngine) parallel(fn func(s int)) {
 	wg.Wait()
 }
 
-// runStep executes one superstep: handlers in parallel over shards,
-// the optional Transpose verification and pre-delivery observer, then
-// the two-phase exchange. The stepFunc of the sharded engine.
+// runStep executes one superstep; it is the stepFunc of the sharded
+// engine. A cluster-local step without a pre-delivery hook runs fused,
+// cluster by cluster, behind one barrier. Any other step runs the
+// handlers, then the Transpose check and the hook, then the two-phase
+// exchange. Either way the errors reduce in the native precedence:
+// handler error, Transpose violation, inbox overflow.
 func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCost, error) {
 	sc := StepCost{Label: st.Label}
 	if st.Run == nil {
 		return sc, nil // dummy superstep: no computation, no messages
 	}
-
-	// Phase 1: handlers. Each shard walks its processors in ascending
-	// order, folding ops into a shard-local max and keeping only the
-	// first error — the hot loop touches no shared slice.
-	e.parallel(func(s int) {
-		lo, hi := e.span(s)
-		r := newProcRunner(e.prog, st.Label)
-		var tau int64
-		e.errs[s] = nil
-		for p := lo; p < hi; p++ {
-			var ops int64
-			var err error
-			r.runProc(e.ctxs, st, p, &ops, &err)
-			if err != nil {
-				e.errs[s], e.errProcs[s] = err, p
-				return
-			}
-			tau = max(tau, ops)
-		}
-		e.taus[s] = tau
-	})
-	for s := 0; s < e.shards; s++ {
-		if err := e.errs[s]; err != nil {
-			// Ascending shards own ascending processor ranges, so the
-			// first erroring shard holds the lowest erroring processor
-			// — the same one the native engine's ascending-p scan
-			// reports.
-			return sc, fmt.Errorf("processor %d: %w", e.errProcs[s], err)
-		}
-		sc.Tau = max(sc.Tau, e.taus[s])
-	}
-
-	if verify && st.Transpose != nil {
-		if err := verifyTranspose(e.prog, e.ctxs, st); err != nil {
+	verify = verify && st.Transpose != nil
+	// Shards start at multiples of chunk and clusters at multiples of
+	// their power-of-two size, so this holds exactly when no cluster
+	// straddles a shard boundary.
+	local := e.chunk%ClusterSize(e.prog.V, st.Label) == 0
+	if local && collect == nil {
+		e.parallel(func(s int) { e.runClusters(s, st, verify) })
+		if err := e.handlerError(&sc); err != nil {
 			return sc, err
 		}
+		for _, r := range e.res {
+			if r.terr != nil {
+				// Each shard checks its clusters in ascending order and
+				// stops at the first violation, so the lowest shard's
+				// holds the lowest violating processor.
+				return sc, r.terr
+			}
+		}
+	} else {
+		e.parallel(func(s int) {
+			lo, hi := e.span(s)
+			var r shardResult
+			r.tau, r.errProc, r.err = e.runHandlers(newProcRunner(e.prog, st.Label), st, lo, hi)
+			e.res[s] = r
+		})
+		if err := e.handlerError(&sc); err != nil {
+			return sc, err
+		}
+		if verify {
+			if err := verifyTranspose(e.prog, e.ctxs, st, 0, e.prog.V); err != nil {
+				return sc, err
+			}
+		}
+		if collect != nil {
+			collect()
+		}
+		if !local {
+			e.parallel(e.collectShard)
+		}
+		e.parallel(func(s int) { e.deliverShard(s, !local) })
 	}
-	if collect != nil {
-		collect()
-	}
-
-	h, err := e.exchange()
+	h, err := e.delivered()
 	if err != nil {
 		return sc, err
 	}
@@ -227,30 +235,142 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 	return sc, nil
 }
 
-// exchange is the two-phase shard-to-shard delivery. Phase A: every
-// shard clears its own inbox counts, drains its own outboxes into
-// per-destination-shard buckets and clears the outbox counts. Phase B:
-// every shard appends its incoming buckets — ascending source shard,
-// which restores the native engine's global ascending-(sender, send
-// index) delivery order restricted to this shard — into its own
-// inboxes. Each phase writes only shard-owned state, so both
-// parallelise freely; the barrier between them is the only
-// synchronisation. h and the overflow report reduce afterwards to
-// exactly the native Deliver results (see the bit-identity argument at
-// the top of the file).
-func (e *shardEngine) exchange() (h int, err error) {
-	e.parallel(e.collectShard)
-	e.parallel(e.deliverShard)
-	for s := 0; s < e.shards; s++ {
-		h = max(h, e.sentMax[s], e.recvMax[s])
+// runHandlers runs the handlers of processors [lo, hi) in ascending
+// order on runner r and returns the max of their ops. On a handler
+// error it stops and returns the error with its processor. A handler
+// is the only reader of its inbox, so the inbox is cleared as soon as
+// the handler returns, while the context is still in cache; delivery
+// then needs no clearing pass of its own.
+func (e *shardEngine) runHandlers(r *procRunner, st Superstep, lo, hi int) (tau int64, errProc int, err error) {
+	in := e.prog.Layout.InCountOff()
+	for p := lo; p < hi; p++ {
+		var ops int64
+		r.runProc(e.ctxs, st, p, &ops, &err)
+		if err != nil {
+			return tau, p, err
+		}
+		e.ctxs[p][in] = 0
+		tau = max(tau, ops)
 	}
-	first := overflow{}
-	for s := 0; s < e.shards; s++ {
-		o := e.ovf[s]
-		if !o.ok {
+	return tau, 0, nil
+}
+
+// runClusters is the fused cluster-local superstep for shard s. It
+// walks the shard's clusters in ascending order and finishes each one
+// — handlers, Transpose check, delivery — before it starts the next,
+// so a cluster that fits in cache is read from memory about once per
+// superstep. Clusters are independent submachines: a handler reads
+// only its own context and sends only inside its cluster, so
+// delivering a cluster before the next one runs changes nothing any
+// handler sees.
+//
+// A Transpose violation or an inbox overflow stops delivery, but the
+// handlers keep running, because a handler error at a later processor
+// outranks both. A cluster that passed the Transpose check cannot
+// overflow (every processor receives exactly one message), so the
+// violation, which outranks an overflow, is never hidden behind one.
+func (e *shardEngine) runClusters(s int, st Superstep, verify bool) {
+	lo, hi := e.span(s)
+	cs := ClusterSize(e.prog.V, st.Label)
+	run := newProcRunner(e.prog, st.Label)
+	dl := deliverer{l: e.prog.Layout, ctxs: e.ctxs}
+	var r shardResult
+	stopped := false
+	for clo := lo; clo < hi; clo += cs {
+		chi := clo + cs
+		tau, p, err := e.runHandlers(run, st, clo, chi)
+		r.tau = max(r.tau, tau)
+		if err != nil {
+			r.errProc, r.err = p, err
+			break
+		}
+		if stopped {
 			continue
 		}
-		if !first.ok || o.src < first.src || (o.src == first.src && o.idx < first.idx) {
+		if verify {
+			if r.terr = verifyTranspose(e.prog, e.ctxs, st, clo, chi); r.terr != nil {
+				stopped = true
+				continue
+			}
+		}
+		stopped = !dl.deliverOwn(clo, chi)
+	}
+	r.sent, r.recv, r.ovf = dl.sent, dl.recv, dl.ovf
+	e.res[s] = r
+}
+
+// collectShard is exchange phase A for shard s: copy every message
+// whose destination lies in another shard into the bucket for that
+// shard. The outboxes stay in place; phase B delivers the messages
+// that stay inside the shard straight from them and clears them.
+func (e *shardEngine) collectShard(s int) {
+	l := e.prog.Layout
+	lo, hi := e.span(s)
+	buckets := e.out[s]
+	for d := range buckets {
+		buckets[d] = buckets[d][:0]
+	}
+	for p := lo; p < hi; p++ {
+		ctx := e.ctxs[p]
+		sent := int(ctx[l.OutCountOff()])
+		for k := 0; k < sent; k++ {
+			if dest := int(ctx[l.OutboxOff(k)]); dest < lo || dest >= hi {
+				d := dest / e.chunk
+				buckets[d] = append(buckets[d], Word(p), Word(k), Word(dest), ctx[l.OutboxOff(k)+1])
+			}
+		}
+	}
+}
+
+// deliverShard is exchange phase B for shard s: deliver the buckets of
+// lower shards, the shard's own outboxes and the buckets of higher
+// shards, in that order, into the inboxes runHandlers emptied. Each part
+// is in ascending (src, idx) order and the parts cover ascending
+// sender ranges, so the stream is the native delivery order restricted
+// to this shard's processors. cross is false when phase A was skipped
+// because no cluster of the step spans shards; the buckets are then
+// stale and not read. On the first overflow the shard records the
+// offender and stops; delivered picks the global first.
+func (e *shardEngine) deliverShard(s int, cross bool) {
+	lo, hi := e.span(s)
+	dl := deliverer{l: e.prog.Layout, ctxs: e.ctxs}
+	ok := true
+	if cross {
+		for src := 0; src < s && ok; src++ {
+			ok = dl.deliverBucket(e.out[src][s])
+		}
+	}
+	ok = ok && dl.deliverOwn(lo, hi)
+	if cross {
+		for src := s + 1; src < e.shards && ok; src++ {
+			ok = dl.deliverBucket(e.out[src][s])
+		}
+	}
+	r := &e.res[s]
+	r.sent, r.recv, r.ovf = dl.sent, dl.recv, dl.ovf
+}
+
+// handlerError folds the shards' τ into sc and returns the handler
+// error of the lowest erroring processor, if any. Ascending shards own
+// ascending processor ranges, so the first erroring shard holds the
+// processor the native engine's ascending-p scan reports.
+func (e *shardEngine) handlerError(sc *StepCost) error {
+	for _, r := range e.res {
+		if r.err != nil {
+			return fmt.Errorf("processor %d: %w", r.errProc, r.err)
+		}
+		sc.Tau = max(sc.Tau, r.tau)
+	}
+	return nil
+}
+
+// delivered reduces the shards' delivery results to exactly the native
+// Deliver results: h, or the overflow the native scan hits first.
+func (e *shardEngine) delivered() (h int, err error) {
+	first := overflow{}
+	for _, r := range e.res {
+		h = max(h, r.sent, r.recv)
+		if o := r.ovf; o.ok && (!first.ok || o.src < first.src || (o.src == first.src && o.idx < first.idx)) {
 			first = o
 		}
 	}
@@ -265,66 +385,63 @@ func (e *shardEngine) exchange() (h int, err error) {
 	return h, nil
 }
 
-// collectShard is exchange phase A for shard s: reset the shard's
-// inbox counts (inboxes are written only in phase B, after the
-// barrier), bucket its outgoing messages by destination shard and
-// clear its outbox counts.
-func (e *shardEngine) collectShard(s int) {
-	l := e.prog.Layout
-	lo, hi := e.span(s)
-	buckets := e.out[s]
-	for d := range buckets {
-		buckets[d] = buckets[d][:0]
+// deliverer is one shard task's delivery state: it writes only the
+// inboxes it delivers into and the outboxes it drains, and folds the
+// max sent and received counts and the first overflow in its own
+// fields, which the task copies to its result slot at the end.
+type deliverer struct {
+	l          Layout
+	ctxs       [][]Word
+	sent, recv int
+	ovf        overflow
+}
+
+// push appends message idx of src to dest's inbox. It reports false,
+// and records the message, when the inbox is already full.
+func (d *deliverer) push(src, idx, dest int, payload Word) bool {
+	ctx := d.ctxs[dest]
+	n := int(ctx[d.l.InCountOff()])
+	if n >= d.l.MaxMsgs {
+		d.ovf = overflow{ok: true, src: src, idx: idx, dest: dest}
+		return false
 	}
-	maxSent := 0
+	ctx[d.l.InboxOff(n)] = Word(src)
+	ctx[d.l.InboxOff(n)+1] = payload
+	ctx[d.l.InCountOff()] = Word(n + 1)
+	d.recv = max(d.recv, n+1)
+	return true
+}
+
+// deliverOwn delivers, in ascending (src, idx) order, the messages that
+// processors [lo, hi) sent to processors in [lo, hi), and clears the
+// senders' outboxes. Messages to other processors are skipped: phase A
+// has bucketed them. It reports false at the first overflow.
+func (d *deliverer) deliverOwn(lo, hi int) bool {
+	l := d.l
 	for p := lo; p < hi; p++ {
-		ctx := e.ctxs[p]
-		ctx[l.InCountOff()] = 0
+		ctx := d.ctxs[p]
 		sent := int(ctx[l.OutCountOff()])
-		maxSent = max(maxSent, sent)
+		d.sent = max(d.sent, sent)
 		for k := 0; k < sent; k++ {
 			dest := int(ctx[l.OutboxOff(k)])
-			payload := ctx[l.OutboxOff(k)+1]
-			d := dest / e.chunk
-			buckets[d] = append(buckets[d], Word(p), Word(k), Word(dest), payload)
+			if dest >= lo && dest < hi && !d.push(p, k, dest, ctx[l.OutboxOff(k)+1]) {
+				return false
+			}
 		}
 		ctx[l.OutCountOff()] = 0
 	}
-	e.sentMax[s] = maxSent
+	return true
 }
 
-// deliverShard is exchange phase B for shard d: append every incoming
-// bucket into the shard's inboxes. Source shards are walked in
-// ascending order and each bucket is already in ascending (src, idx)
-// order, so the concatenated stream is sorted by (src, idx) — the
-// native delivery order restricted to this shard's processors. On the
-// first overflow the shard records the offender and stops; the
-// cross-shard reduction in exchange picks the global first.
-func (e *shardEngine) deliverShard(d int) {
-	l := e.prog.Layout
-	e.ovf[d] = overflow{}
-	for s := 0; s < e.shards; s++ {
-		rec := e.out[s][d]
-		for i := 0; i < len(rec); i += 4 {
-			dest := int(rec[i+2])
-			dctx := e.ctxs[dest]
-			n := int(dctx[l.InCountOff()])
-			if n >= l.MaxMsgs {
-				e.ovf[d] = overflow{ok: true, src: int(rec[i]), idx: int(rec[i+1]), dest: dest}
-				e.recvMax[d] = 0
-				return
-			}
-			dctx[l.InboxOff(n)] = rec[i]
-			dctx[l.InboxOff(n)+1] = rec[i+3]
-			dctx[l.InCountOff()] = Word(n + 1)
+// deliverBucket delivers a bucket's (src, idx, dest, payload) records
+// in order. It reports false at the first overflow.
+func (d *deliverer) deliverBucket(rec []Word) bool {
+	for i := 0; i < len(rec); i += 4 {
+		if !d.push(int(rec[i]), int(rec[i+1]), int(rec[i+2]), rec[i+3]) {
+			return false
 		}
 	}
-	maxRecv := 0
-	lo, hi := e.span(d)
-	for p := lo; p < hi; p++ {
-		maxRecv = max(maxRecv, int(e.ctxs[p][l.InCountOff()]))
-	}
-	e.recvMax[d] = maxRecv
+	return true
 }
 
 // RunSharded executes prog on the sharded engine with the given shard

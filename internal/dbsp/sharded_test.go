@@ -190,6 +190,47 @@ func TestShardedSelfSends(t *testing.T) {
 	}
 }
 
+// TestShardedFanOutH: processor 0 sends one message to each of the
+// other processors, so h comes from a sent count, not a received one.
+// Both sharded paths must fold it: the fused one at one shard, the
+// two-phase exchange at more shards and under RunShardedObserved.
+func TestShardedFanOutH(t *testing.T) {
+	prog := &Program{
+		Name:   "fanout",
+		V:      8,
+		Layout: Layout{Data: 1, MaxMsgs: 7},
+		Steps: []Superstep{
+			{Label: 0, Run: func(c *Ctx) {
+				if c.ID() == 0 {
+					for q := 1; q < c.V(); q++ {
+						c.Send(q, Word(q))
+					}
+				}
+			}},
+			{Label: 0, Run: func(c *Ctx) {}},
+		},
+	}
+	native, err := Run(prog, cost.Log{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if native.Steps[0].H != 7 {
+		t.Fatalf("native h = %d, want 7", native.Steps[0].H)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		res, err := RunSharded(prog, cost.Log{}, shards)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		requireIdentical(t, native, res)
+		res, _, err = RunShardedObserved(prog, cost.Log{}, shards, nil)
+		if err != nil {
+			t.Fatalf("observed shards=%d: %v", shards, err)
+		}
+		requireIdentical(t, native, res)
+	}
+}
+
 // TestShardedZeroMessageSuperstep: supersteps that send nothing must
 // clear stale inboxes and charge h = 0, exactly like native delivery.
 func TestShardedZeroMessageSuperstep(t *testing.T) {
@@ -412,4 +453,107 @@ func TestShardedConcurrencyStress(t *testing.T) {
 	if got, want := reg.FloatCounter("dbsp.cost.total").Value(), res1.Cost; got != want {
 		t.Errorf("dbsp.cost.total = %v, want exactly %v", got, want)
 	}
+}
+
+// requireFusedError runs prog's first superstep, which must be
+// cluster-local at shards 2, 4 and 8, and requires the sharded error at
+// each of those counts to be byte-identical to the native engine's,
+// which must contain want.
+func requireFusedError(t *testing.T, prog *Program, want string) {
+	t.Helper()
+	_, nativeErr := Run(prog, cost.Log{})
+	if nativeErr == nil || !strings.Contains(nativeErr.Error(), want) {
+		t.Fatalf("native error %v, want one containing %q", nativeErr, want)
+	}
+	for _, shards := range []int{2, 4, 8} {
+		if chunk := newShardEngine(prog, shards).chunk; chunk%ClusterSize(prog.V, prog.Steps[0].Label) != 0 {
+			t.Fatalf("shards=%d: step 0 is not cluster-local (chunk %d)", shards, chunk)
+		}
+		_, err := RunSharded(prog, cost.Log{}, shards)
+		if err == nil || err.Error() != nativeErr.Error() {
+			t.Errorf("shards=%d: error %v, want native's %q", shards, err, nativeErr)
+		}
+	}
+}
+
+// pairStepProg is a v = 16 program of two supersteps: first as a
+// pair-local (label 3) step, then an empty global step.
+func pairStepProg(name string, first func(c *Ctx)) *Program {
+	return &Program{
+		Name:   name,
+		V:      16,
+		Layout: Layout{Data: 1, MaxMsgs: 1},
+		Steps: []Superstep{
+			{Label: 3, Run: first},
+			{Label: 0, Run: func(c *Ctx) {}},
+		},
+	}
+}
+
+// TestShardedFusedOverflowMinSrcIdx: a cluster-local step overflows
+// inboxes in two clusters of one shard and in a cluster of a higher
+// shard. The fused path must report the overflow with the minimum
+// (src, idx), the one the native scan hits first.
+func TestShardedFusedOverflowMinSrcIdx(t *testing.T) {
+	prog := pairStepProg("fusedoverflow", func(c *Ctx) {
+		// In pairs {2,3}, {6,7} and {12,13} both processors target
+		// the odd one, whose inbox holds one message.
+		switch c.ID() {
+		case 2, 3, 6, 7, 12, 13:
+			c.Send(c.ID()|1, Word(c.ID()))
+		}
+	})
+	requireFusedError(t, prog, "inbox overflow at processor 3")
+}
+
+// TestShardedFusedHandlerErrorOutranksOverflow: shard 0 overflows an
+// inbox while a handler at a higher processor panics, in the same shard
+// at shards=2 and in a higher one otherwise. The handler error
+// outranks the overflow, so the fused path must keep running handlers
+// after it stops delivering.
+func TestShardedFusedHandlerErrorOutranksOverflow(t *testing.T) {
+	prog := pairStepProg("fusedpanic", func(c *Ctx) {
+		switch c.ID() {
+		case 2, 3:
+			c.Send(3, 1)
+		case 6:
+			panic("boom")
+		}
+	})
+	requireFusedError(t, prog, "processor 6: handler panic: boom")
+}
+
+// TestShardedFusedTransposeLaterCluster: a Transpose-declared
+// cluster-local step is violated only in later clusters (a wrong
+// destination at processor 21, two sends at processor 26). The fused
+// path checks each cluster as it finishes and must report processor
+// 21; a handler panic at a still higher processor outranks it.
+func TestShardedFusedTransposeLaterCluster(t *testing.T) {
+	route := &TransposeRoute{M1: 2, M2: 2}
+	build := func(panicAt int) *Program {
+		return &Program{
+			Name:   "fusedtranspose",
+			V:      32,
+			Layout: Layout{Data: 1, MaxMsgs: 2},
+			Steps: []Superstep{
+				{Label: 3, Transpose: route, Run: func(c *Ctx) {
+					if c.ID() == panicAt {
+						panic("late")
+					}
+					lo := c.ID() &^ 3
+					dest := lo + route.Dest(c.ID()-lo)
+					switch c.ID() {
+					case 21:
+						dest = lo
+					case 26:
+						c.Send(dest, 0)
+					}
+					c.Send(dest, Word(c.ID()))
+				}},
+				{Label: 0, Run: func(c *Ctx) {}},
+			},
+		}
+	}
+	requireFusedError(t, build(-1), "transpose superstep: processor 21 sent to 20, want 22")
+	requireFusedError(t, build(29), "processor 29: handler panic: late")
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/dbsp"
@@ -77,7 +77,7 @@ func E20BigV(p sweep.Params) *Table {
 						}
 					}
 				}
-				if vsNative == "identical" && !reflect.DeepEqual(native.Contexts, res.Contexts) {
+				if vsNative == "identical" && !slices.EqualFunc(native.Contexts, res.Contexts, slices.Equal[[]dbsp.Word]) {
 					vsNative = "DIVERGED"
 				}
 			}
