@@ -248,8 +248,8 @@ func BenchmarkE16AMSort(b *testing.B) {
 	b.ReportMetric(float64(comps), "comparisons/op")
 }
 
-// BenchmarkNativeEngine measures the goroutine-parallel superstep
-// engine itself (not a paper experiment; included for harness costing).
+// BenchmarkNativeEngine measures the D-BSP engine itself at its default
+// shard count (not a paper experiment; included for harness costing).
 func BenchmarkNativeEngine(b *testing.B) {
 	prog := progtest.Rotate(1024, progtest.Descending(1024)...)
 	for i := 0; i < b.N; i++ {
@@ -259,21 +259,14 @@ func BenchmarkNativeEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkRunSharded measures the sharded engine against the native
-// one at matched v (not a paper experiment; included for harness
-// costing). Both run the same program, so ns/op is directly comparable
-// across the sub-benchmarks; the results themselves are bit-identical
-// by the five-way differential suite.
+// BenchmarkRunSharded measures the engine across shard counts at
+// matched v (not a paper experiment; included for harness costing).
+// Every sub-benchmark runs the same program, so ns/op is directly
+// comparable across them; the results themselves are bit-identical by
+// the differential suite.
 func BenchmarkRunSharded(b *testing.B) {
 	const v = 1 << 14
 	prog := progtest.Rotate(v, progtest.Descending(v)...)
-	b.Run("engine=native", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dbsp.Run(prog, alphaHalf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, shards := range []int{1, 8, 0} {
 		name := fmt.Sprintf("engine=sharded/shards=%d", shards)
 		if shards == 0 {

@@ -1,5 +1,5 @@
-// Quickstart: write a D-BSP program, run it natively on the
-// goroutine-parallel engine, then simulate it on a hierarchical-memory
+// Quickstart: write a D-BSP program, run it natively on the sharded
+// D-BSP engine, then simulate it on a hierarchical-memory
 // (HMM) host and see the paper's headline result — the slowdown is
 // linear in the lost parallelism, with no extra hierarchy penalty.
 package main

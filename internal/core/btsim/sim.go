@@ -70,7 +70,7 @@ type Result struct {
 	// Machine is the host BT machine in its final state.
 	Machine *bt.Machine
 	// Contexts holds the final µ-word guest contexts in processor
-	// order — bit-identical to a native dbsp.Run.
+	// order — bit-identical to dbsp.Run.
 	Contexts [][]Word
 	// HostCost is the charged f(x)-BT time.
 	HostCost float64

@@ -13,11 +13,12 @@
 //     optimal Θ(v/v′) slowdown.
 //
 // Programs are written against internal/dbsp (supersteps, cluster
-// labels, message-passing contexts) and can be executed natively with
-// goroutine-parallel supersteps (dbsp.Run), on the sharded big-v
-// engine (dbsp.RunSharded), or passed to any of the simulators below;
-// final processor contexts are bit-identical across all five execution
-// paths.
+// labels, message-passing contexts) and can be executed natively on the
+// dbsp engine, which multiplexes the v processors over a few shards
+// (dbsp.Run at the default shard count, dbsp.RunSharded at a given
+// one), or passed to any of the simulators below; final processor
+// contexts are bit-identical across the engine at every shard count
+// and all three simulators.
 package core
 
 import (

@@ -11,10 +11,9 @@ import (
 )
 
 // The central integration property of the repository: for every
-// case-study algorithm, all five execution paths — the native
-// goroutine-parallel D-BSP engine, the sharded big-v engine, the HMM
-// simulation, the BT simulation and the D-BSP self-simulation —
-// produce bit-identical final processor contexts.
+// case-study algorithm, the D-BSP engine at the default shard count and
+// at three shards, the HMM simulation, the BT simulation and the D-BSP
+// self-simulation produce bit-identical final processor contexts.
 func TestAllPathsAgree(t *testing.T) {
 	mat := workload.Matrix(1, 4, 8)
 	matB := workload.Matrix(2, 4, 8)

@@ -70,7 +70,7 @@ type Result struct {
 	// Machine is the host HMM in its final state.
 	Machine *hmm.Machine
 	// Contexts holds the final µ-word context of every guest processor,
-	// in processor order — bit-identical to a native dbsp.Run.
+	// in processor order — bit-identical to dbsp.Run.
 	Contexts [][]Word
 	// HostCost is the charged f(x)-HMM time.
 	HostCost float64
@@ -421,8 +421,8 @@ func (st *state) simulateStep(s, lo, csize int) {
 		}
 		mark = now
 	}
-	// Message exchange. First clear the inbox counts (native Deliver
-	// semantics), then scan outboxes in ascending processor order and
+	// Message exchange. First clear the inbox counts (the dbsp engine's
+	// delivery semantics), then scan outboxes in ascending processor order and
 	// deliver each message by direct addressing — by Invariant 2 the
 	// context of processor q sits in block q-lo.
 	for k := 0; k < csize; k++ {

@@ -13,19 +13,18 @@ import (
 var allocLabels = []int{7, 6, 5, 4, 3, 2, 1, 0}
 
 // TestEngineAllocsIndependentOfV is the allocation gate of the handler
-// path. The engines reuse one handler view per worker or shard, so
-// nothing they allocate per processor-step scales with v. The growth
-// bounds below are the measured extra objects a run at v = 2^12
-// allocates over the same program at v = 2^8: none on any engine. The
-// sharded engine's exchange buckets would grow with the message volume,
-// but only messages that cross a shard boundary enter them. At
-// sharded1 every step runs fused; at sharded4 so do labels 7..2, and
-// the label-1 and label-0 rings, whose clusters span shards, send
-// exactly four messages across shard boundaries at either v.
-// Allocating a store and a Ctx per processor-step, as the engines once
-// did, grows by 2·(2^12−2^8)·9 = 69120 objects on this program.
-// testing.AllocsPerRun pins GOMAXPROCS to 1, so the native leg measures
-// the inline one-worker path; sharded4 runs its shards on goroutines.
+// path. The engine reuses one handler view per shard, so nothing it
+// allocates per processor-step scales with v. The growth bounds below
+// are the measured extra objects a run at v = 2^12 allocates over the
+// same program at v = 2^8: none at either shard count. The exchange
+// buckets would grow with the message volume, but only messages that
+// cross a shard boundary enter them. At sharded1 every step runs fused;
+// at sharded4 so do labels 7..2, and the label-1 and label-0 rings,
+// whose clusters span shards, send exactly four messages across shard
+// boundaries at either v. Allocating a store and a Ctx per
+// processor-step, as the engine once did, grows by
+// 2·(2^12−2^8)·9 = 69120 objects on this program. sharded4 runs shards
+// 1..3 on goroutines.
 func TestEngineAllocsIndependentOfV(t *testing.T) {
 	g := cost.Poly{Alpha: 0.5}
 	engines := []struct {
@@ -33,7 +32,6 @@ func TestEngineAllocsIndependentOfV(t *testing.T) {
 		growth float64
 		run    func(*dbsp.Program) error
 	}{
-		{"native", 0, func(p *dbsp.Program) error { _, err := dbsp.Run(p, g); return err }},
 		{"sharded1", 0, func(p *dbsp.Program) error { _, err := dbsp.RunSharded(p, g, 1); return err }},
 		{"sharded4", 0, func(p *dbsp.Program) error { _, err := dbsp.RunSharded(p, g, 4); return err }},
 	}

@@ -3,10 +3,10 @@ package dbsp
 import "fmt"
 
 // Layout fixes how a processor's µ-word context is arranged. The same
-// layout is used by the native engine (contexts in Go slices) and by
-// the sequential simulators (contexts as µ-word blocks of HMM/BT
-// memory), so that a handler's Load/Store/Send/Recv operations have
-// identical semantics everywhere. Message buffers are part of the
+// layout is used by the engine (contexts in Go slices) and by the
+// sequential simulators (contexts as µ-word blocks of HMM/BT memory),
+// so that a handler's Load/Store/Send/Recv operations have identical
+// semantics everywhere. Message buffers are part of the
 // context, as the model prescribes ("buffers for incoming and outgoing
 // messages are provided as part of the processor's local memory").
 //
@@ -55,7 +55,7 @@ func (l Layout) Validate() error {
 }
 
 // Store abstracts the word storage a context lives in, so the same
-// context logic runs over a Go slice (native engine), an HMM machine
+// context logic runs over a Go slice (the engine), an HMM machine
 // (hmmsim), a BT machine (btsim) or an HMM memory module (selfsim).
 // Implementations charge their own model costs per operation. Offsets
 // are context-relative: [0, µ).
@@ -68,7 +68,7 @@ type Store interface {
 	Work(n int64)
 }
 
-// sliceStore is the native engine's store: a context slice plus an
+// sliceStore is the engine's store: a context slice plus an
 // operation counter that measures τ, the local computation time.
 type sliceStore struct {
 	mem []Word
@@ -102,7 +102,7 @@ func (c *Ctx) Reset(id, label int) {
 //
 // A handler may use its *Ctx only until it returns. Every engine and
 // simulator reuses one Ctx for all the processors it runs in turn (one
-// per worker, shard or simulation), so a retained pointer would later
+// per shard or simulation), so a retained pointer would later
 // read and write another processor's context. The stepconfine analyzer
 // rejects the common form of retention, a Run closure assigning c to
 // a captured variable.
@@ -174,7 +174,7 @@ func (c *Ctx) NumRecv() int { return int(c.st.Load(c.layout.InCountOff())) }
 
 // Recv returns received message k: its sender and payload. Messages are
 // ordered by ascending sender id (and send order within a sender) —
-// identical in the native engine and in every simulator.
+// identical in the engine and in every simulator.
 func (c *Ctx) Recv(k int) (src int, payload Word) {
 	n := c.NumRecv()
 	if k < 0 || k >= n {

@@ -1,37 +1,32 @@
 package dbsp
 
 import (
-	"strings"
+	"slices"
 	"testing"
+
+	"repro/internal/cost"
 )
 
-// send is a handcrafted outbox entry for deliverCtxs.
+// send is one message a test handler queues: destination and payload.
 type send struct {
 	dest    int
 	payload Word
 }
 
-// deliverCtxs builds v fresh contexts under l and queues each
-// processor's sends directly in its outbox, bypassing Ctx so the tests
-// exercise Deliver's own discipline in isolation.
-func deliverCtxs(t *testing.T, l Layout, v int, sends [][]send) [][]Word {
-	t.Helper()
-	ctxs := make([][]Word, v)
-	for p := range ctxs {
-		ctxs[p] = make([]Word, l.Mu())
-		if p >= len(sends) {
-			continue
-		}
-		if n := len(sends[p]); n > l.MaxMsgs {
-			t.Fatalf("proc %d: %d sends exceed outbox capacity %d", p, n, l.MaxMsgs)
-		}
-		for k, s := range sends[p] {
-			ctxs[p][l.OutboxOff(k)] = Word(s.dest)
-			ctxs[p][l.OutboxOff(k)+1] = s.payload
-		}
-		ctxs[p][l.OutCountOff()] = Word(len(sends[p]))
+// sendProg builds a v-processor program of global supersteps in which
+// processor p sends steps[s][p] in superstep s, in order.
+func sendProg(v, maxMsgs int, steps [][][]send) *Program {
+	prog := &Program{Name: "deliver", V: v, Layout: Layout{Data: 1, MaxMsgs: maxMsgs}}
+	for _, sends := range steps {
+		prog.Steps = append(prog.Steps, Superstep{Label: 0, Run: func(c *Ctx) {
+			if c.ID() < len(sends) {
+				for _, m := range sends[c.ID()] {
+					c.Send(m.dest, m.payload)
+				}
+			}
+		}})
 	}
-	return ctxs
+	return prog
 }
 
 // inbox reads back processor p's inbox as delivered (src, payload)
@@ -45,40 +40,30 @@ func inbox(l Layout, ctxs [][]Word, p int) []send {
 	return out
 }
 
-func eqInbox(a, b []send) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestDeliverEdgeCases pins the exact h-relation and buffer semantics
-// of the superstep boundary: h is the max (not the sum) of per-
-// processor sent and received counts, inboxes are filled in ascending
-// sender order with send order preserved within a sender, overflow
-// trips at exactly MaxMsgs, and a zero-message superstep clears stale
-// inboxes.
+// of the superstep boundary at one shard, two and v: h is the max (not
+// the sum) of per-processor sent and received counts, inboxes are
+// filled in ascending sender order with send order preserved within a
+// sender, overflow trips at exactly MaxMsgs+1 and names the processor
+// and capacity, and a zero-message superstep clears stale inboxes.
 func TestDeliverEdgeCases(t *testing.T) {
-	l := Layout{Data: 1, MaxMsgs: 4}
 	cases := []struct {
 		name    string
 		v       int
-		sends   [][]send
-		wantH   int
-		inboxes map[int][]send // checked per listed processor
+		maxMsgs int
+		steps   [][][]send
+		wantH   []int          // per superstep
+		inboxes map[int][]send // final inboxes, checked per listed processor
+		wantErr string
 	}{
 		{
-			name: "h is max sent when fan-out dominates",
-			v:    4,
+			name:    "h is max sent when fan-out dominates",
+			v:       4,
+			maxMsgs: 4,
 			// Proc 0 sends 3 messages to distinct destinations; every
 			// receiver gets 1. h = max(3, 1) = 3, not the total 3+0.
-			sends: [][]send{{{1, 10}, {2, 20}, {3, 30}}},
-			wantH: 3,
+			steps: [][][]send{{{{1, 10}, {2, 20}, {3, 30}}}},
+			wantH: []int{3},
 			inboxes: map[int][]send{
 				0: {},
 				1: {{0, 10}},
@@ -87,123 +72,121 @@ func TestDeliverEdgeCases(t *testing.T) {
 			},
 		},
 		{
-			name: "h is max received when fan-in dominates",
-			v:    4,
+			name:    "h is max received when fan-in dominates",
+			v:       4,
+			maxMsgs: 4,
 			// Three processors each send 1 message to proc 0.
 			// h = max(1, 3) = 3, not the sum 3+3.
-			sends: [][]send{nil, {{0, 11}}, {{0, 22}}, {{0, 33}}},
-			wantH: 3,
+			steps: [][][]send{{nil, {{0, 11}}, {{0, 22}}, {{0, 33}}}},
+			wantH: []int{3},
 			inboxes: map[int][]send{
 				0: {{1, 11}, {2, 22}, {3, 33}},
 			},
 		},
 		{
-			name: "h never sums sent and received",
-			v:    2,
+			name:    "h never sums sent and received",
+			v:       2,
+			maxMsgs: 4,
 			// A full exchange: each side sends 2 and receives 2.
 			// h = max(2, 2) = 2, not 4.
-			sends: [][]send{{{1, 1}, {1, 2}}, {{0, 3}, {0, 4}}},
-			wantH: 2,
+			steps: [][][]send{{{{1, 1}, {1, 2}}, {{0, 3}, {0, 4}}}},
+			wantH: []int{2},
 			inboxes: map[int][]send{
 				0: {{1, 3}, {1, 4}},
 				1: {{0, 1}, {0, 2}},
 			},
 		},
 		{
-			name: "ascending sender order, send order kept within sender",
-			v:    4,
-			// Senders are visited 0,1,2,... regardless of how the queue
-			// interleaves, and a sender's own messages keep their send
-			// order — proc 3's inbox must read 0,0,1,2 even though proc 2
-			// appears before proc 0 in no ordering here.
-			sends: [][]send{
+			name:    "ascending sender order, send order kept within sender",
+			v:       4,
+			maxMsgs: 4,
+			// Senders are visited 0,1,2,... and a sender's own messages
+			// keep their send order, so proc 3's inbox must read
+			// 0,0,1,2 — across a shard boundary at two shards and
+			// from three other shards at v.
+			steps: [][][]send{{
 				{{3, 100}, {3, 101}},
 				{{3, 200}},
 				{{3, 300}},
-			},
-			wantH: 4,
+			}},
+			wantH: []int{4},
 			inboxes: map[int][]send{
 				3: {{0, 100}, {0, 101}, {1, 200}, {2, 300}},
 			},
 		},
 		{
-			name: "inbox fills to exactly MaxMsgs without overflow",
-			v:    3,
+			name:    "inbox fills to exactly MaxMsgs without overflow",
+			v:       4,
+			maxMsgs: 4,
 			// Proc 0 receives MaxMsgs = 4 messages: full, legal.
-			sends: [][]send{nil, {{0, 1}, {0, 2}}, {{0, 3}, {0, 4}}},
-			wantH: 4,
+			steps: [][][]send{{nil, {{0, 1}, {0, 2}}, {{0, 3}, {0, 4}}}},
+			wantH: []int{4},
 			inboxes: map[int][]send{
 				0: {{1, 1}, {1, 2}, {2, 3}, {2, 4}},
 			},
 		},
 		{
-			name:  "zero-message superstep",
-			v:     3,
-			sends: nil,
-			wantH: 0,
+			name:    "zero-message superstep",
+			v:       4,
+			maxMsgs: 4,
+			steps:   [][][]send{nil},
+			wantH:   []int{0},
 			inboxes: map[int][]send{
-				0: {}, 1: {}, 2: {},
+				0: {}, 1: {}, 2: {}, 3: {},
 			},
+		},
+		{
+			name:    "overflow one past MaxMsgs names processor and capacity",
+			v:       4,
+			maxMsgs: 2,
+			// Procs 1 and 2 send 2 each to proc 0: the third delivery
+			// hits n >= MaxMsgs.
+			steps:   [][][]send{{nil, {{0, 1}, {0, 2}}, {{0, 3}, {0, 4}}}},
+			wantErr: `dbsp: program "deliver" superstep 0: inbox overflow at processor 0 (MaxMsgs=2)`,
+		},
+		{
+			name:    "zero-message superstep clears stale inbox",
+			v:       2,
+			maxMsgs: 3,
+			// Proc 1's inbox holds two messages after superstep 0; a
+			// superstep with no messages must wipe them, so handlers
+			// never observe last round's traffic.
+			steps:   [][][]send{{{{1, 99}, {1, 98}}}, nil},
+			wantH:   []int{2, 0},
+			inboxes: map[int][]send{0: {}, 1: {}},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctxs := deliverCtxs(t, l, tc.v, tc.sends)
-			h, err := Deliver(l, ctxs)
-			if err != nil {
-				t.Fatalf("Deliver: %v", err)
-			}
-			if h != tc.wantH {
-				t.Errorf("h = %d, want %d", h, tc.wantH)
-			}
-			for p, want := range tc.inboxes {
-				if got := inbox(l, ctxs, p); !eqInbox(got, want) {
-					t.Errorf("proc %d inbox = %v, want %v", p, got, want)
+			prog := sendProg(tc.v, tc.maxMsgs, tc.steps)
+			l := prog.Layout
+			for _, shards := range slices.Compact([]int{1, 2, tc.v}) {
+				res, err := RunSharded(prog, cost.Log{}, shards)
+				if tc.wantErr != "" {
+					if err == nil || err.Error() != tc.wantErr {
+						t.Errorf("shards=%d: error %v, want %q", shards, err, tc.wantErr)
+					}
+					continue
 				}
-			}
-			for p := range ctxs {
-				if n := ctxs[p][l.OutCountOff()]; n != 0 {
-					t.Errorf("proc %d outbox not cleared (count %d)", p, n)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				for s, want := range tc.wantH {
+					if got := res.Steps[s].H; got != want {
+						t.Errorf("shards=%d step %d: h = %d, want %d", shards, s, got, want)
+					}
+				}
+				for p, want := range tc.inboxes {
+					if got := inbox(l, res.Contexts, p); !slices.Equal(got, want) {
+						t.Errorf("shards=%d proc %d inbox = %v, want %v", shards, p, got, want)
+					}
+				}
+				for p, ctx := range res.Contexts {
+					if n := ctx[l.OutCountOff()]; n != 0 {
+						t.Errorf("shards=%d proc %d outbox not cleared (count %d)", shards, p, n)
+					}
 				}
 			}
 		})
-	}
-}
-
-// TestDeliverOverflowAtMaxMsgsPlusOne drives one message past the inbox
-// capacity and checks the overflow is rejected with the offending
-// processor named.
-func TestDeliverOverflowAtMaxMsgsPlusOne(t *testing.T) {
-	l := Layout{Data: 1, MaxMsgs: 2}
-	// Procs 1 and 2 send 2 each to proc 0: the third delivery hits
-	// n >= MaxMsgs.
-	ctxs := deliverCtxs(t, l, 3, [][]send{nil, {{0, 1}, {0, 2}}, {{0, 3}, {0, 4}}})
-	_, err := Deliver(l, ctxs)
-	if err == nil {
-		t.Fatal("overflow at MaxMsgs+1 not rejected")
-	}
-	if !strings.Contains(err.Error(), "processor 0") || !strings.Contains(err.Error(), "MaxMsgs=2") {
-		t.Errorf("overflow error %q does not name processor and capacity", err)
-	}
-}
-
-// TestDeliverClearsStaleInbox pre-loads an inbox as a previous
-// superstep would have left it and checks a delivery round with no
-// messages wipes it: handlers must never observe last round's traffic.
-func TestDeliverClearsStaleInbox(t *testing.T) {
-	l := Layout{Data: 1, MaxMsgs: 3}
-	ctxs := deliverCtxs(t, l, 2, nil)
-	ctxs[1][l.InCountOff()] = 2
-	ctxs[1][l.InboxOff(0)] = 0
-	ctxs[1][l.InboxOff(0)+1] = 99
-	h, err := Deliver(l, ctxs)
-	if err != nil {
-		t.Fatalf("Deliver: %v", err)
-	}
-	if h != 0 {
-		t.Errorf("h = %d for zero-message superstep, want 0", h)
-	}
-	if n := ctxs[1][l.InCountOff()]; n != 0 {
-		t.Errorf("stale inbox count survived delivery: %d", n)
 	}
 }

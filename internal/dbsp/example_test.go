@@ -56,7 +56,7 @@ func ExampleRunTraced() {
 			{Label: 0, Run: func(c *dbsp.Ctx) {}},
 		},
 	}
-	_, tr, err := dbsp.RunTraced(prog, cost.Log{})
+	_, tr, err := dbsp.RunTraced(prog, cost.Log{}, dbsp.Options{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -5,8 +5,28 @@ import (
 	"repro/internal/obs"
 )
 
+// Options configures a RunTraced run. The zero value runs at the
+// default shard count with no observer and no inspector.
+type Options struct {
+	// Shards is the shard count: <= 0 selects GOMAXPROCS, and counts
+	// above v clamp to v.
+	Shards int
+	// Obs, when non-nil, receives the run's accounting: the per-label
+	// superstep histogram (dbsp.lambda.label.<i> — the λ_i of the
+	// Theorem 5/12 formulas), message volume, h-relation degrees, the
+	// computation/communication cost split, and one "superstep" trace
+	// event per executed superstep.
+	Obs *obs.Observer
+	// Inspect, when non-nil, receives every executed superstep right
+	// after message delivery. The engine's own Transpose verification
+	// is then disabled, so the inspector observes declaration
+	// violations end to end instead of the run aborting first — the
+	// runtime invariant checker (internal/invariant) builds on this.
+	Inspect func(StepEvent)
+}
+
 // StepEvent is the post-delivery view of one executed superstep that
-// RunInspected hands to its inspector: the superstep's identity, its
+// RunTraced hands to Options.Inspect: the superstep's identity, its
 // Transpose declaration (if any), the messages the handlers queued
 // before delivery and the messages actually delivered. Dummy
 // supersteps (nil Run) carry no traffic and produce no event.
@@ -25,30 +45,12 @@ type StepEvent struct {
 	Received []MessageTrace
 }
 
-// RunInspected executes prog like RunObserved while handing every
-// executed superstep to inspect right after message delivery. When an
-// inspector is set, the engine's own Transpose verification is
-// disabled so the inspector observes declaration violations end-to-end
-// instead of the run aborting first — the runtime invariant checker
-// (internal/invariant) builds on this. A nil inspect behaves exactly
-// like RunObserved.
-func RunInspected(prog *Program, g cost.Func, o *obs.Observer, inspect func(StepEvent)) (*Result, *Trace, error) {
-	return runInspectedLoop(prog, runLoop, g, o, inspect)
-}
-
-// loopFunc is the signature shared by runLoop and the sharded loop
-// closures: one full engine run with pre/post superstep hooks.
-type loopFunc func(prog *Program, g cost.Func,
-	pre func(step, label int, msgs []MessageTrace),
-	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error)
-
-// runInspectedLoop builds the trace/inspect plumbing over any engine
-// loop: the pre hook records the trace, the post hook (when an
-// inspector is set) assembles StepEvents, and a finished run publishes
-// its accounting to the observer. Both RunInspected (native) and
-// RunShardedInspected route through here, so the two engines expose one
-// observation surface.
-func runInspectedLoop(prog *Program, loop loopFunc, g cost.Func, o *obs.Observer, inspect func(StepEvent)) (*Result, *Trace, error) {
+// RunTraced executes prog like RunSharded at opt.Shards while recording
+// every routed message, publishing the run's accounting to opt.Obs and
+// handing every executed superstep to opt.Inspect (see Options). The
+// trace snapshot is O(messages) per superstep — at very large v prefer
+// RunSharded unless the trace is needed.
+func RunTraced(prog *Program, g cost.Func, opt Options) (*Result, *Trace, error) {
 	tr := &Trace{V: prog.V}
 	var sent []MessageTrace
 	pre := func(step, label int, msgs []MessageTrace) {
@@ -56,19 +58,19 @@ func runInspectedLoop(prog *Program, loop loopFunc, g cost.Func, o *obs.Observer
 		sent = msgs
 	}
 	var post func(step int, st Superstep, ctxs [][]Word)
-	if inspect != nil {
+	if inspect := opt.Inspect; inspect != nil {
 		post = func(step int, st Superstep, ctxs [][]Word) {
 			inspect(StepEvent{Step: step, Label: st.Label, Transpose: st.Transpose,
 				Sent: sent, Received: collectInboxes(prog.Layout, ctxs)})
 			sent = nil
 		}
 	}
-	res, err := loop(prog, g, pre, post)
+	res, err := engineLoop(prog, g, opt.Shards, pre, post)
 	if err != nil {
 		return nil, nil, err
 	}
-	if o != nil {
-		publishRun(o, prog, res, tr)
+	if opt.Obs != nil {
+		publishRun(opt.Obs, prog, res, tr)
 	}
 	return res, tr, nil
 }

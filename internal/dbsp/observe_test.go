@@ -8,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRunObservedPublishes checks that a native run's accounting lands
+// TestRunObservedPublishes checks that an observed run's accounting lands
 // in the registry verbatim: dbsp.cost.total is exactly Result.Cost, the
 // per-label superstep histogram counts every step, and one superstep
 // event is emitted per executed superstep.
@@ -18,7 +18,7 @@ func TestRunObservedPublishes(t *testing.T) {
 	ring := obs.NewRingSink(64)
 	o := obs.New(reg, ring)
 
-	res, tr, err := RunObserved(prog, cost.Log{}, o)
+	res, tr, err := RunTraced(prog, cost.Log{}, Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestRunObservedPublishes(t *testing.T) {
 	}
 }
 
-// TestRunObservedNilObserver: RunTraced must stay byte-identical to the
-// unobserved path (RunObserved with a nil observer).
+// TestRunObservedNilObserver: RunTraced with a nil observer must still
+// record the trace and match the untraced run's cost.
 func TestRunObservedNilObserver(t *testing.T) {
 	prog := pairProg(8)
-	res, tr, err := RunObserved(prog, cost.Log{}, nil)
+	res, tr, err := RunTraced(prog, cost.Log{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,16 @@
 //
 // The package provides the machine description, the superstep program
 // representation, the processor-context memory layout shared with the
-// sequential simulators, and two execution engines. Run chunks each
-// superstep's handlers over GOMAXPROCS worker goroutines and delivers
-// sequentially at the barrier. RunSharded multiplexes the v processor
-// contexts over a few shards: a superstep whose clusters each fit in
-// one shard runs and delivers cluster by cluster behind one barrier,
-// and the others exchange messages between shards in two phases.
+// sequential simulators, and one execution engine, which multiplexes
+// the v processor contexts over a few shards (the Brent-lemma analogue
+// of the paper's Theorem 10). A superstep whose clusters each fit in
+// one shard runs and delivers cluster by cluster behind one barrier;
+// the others run handlers and bucket the messages that leave each
+// shard behind one barrier, and deliver behind a second. There are
+// three entry points: Run at the default shard count (GOMAXPROCS),
+// RunSharded at a given one, and RunTraced, which adds the message
+// trace, the observer and the per-superstep inspector through Options.
+// Results are bit-identical at every shard count.
 package dbsp
 
 import (

@@ -7,10 +7,10 @@ import (
 	"repro/internal/cost"
 )
 
-// The native engine runs handlers concurrently; this test hammers it
-// with a large machine and many supersteps so `go test -race` can
-// catch any sharing bug between processor goroutines, delivery and
-// cost accounting.
+// Run executes shards concurrently at the default shard count; this
+// test hammers it with a large machine and many supersteps so
+// `go test -race` can catch any sharing bug between shard goroutines,
+// delivery and cost accounting.
 func TestEngineConcurrencyStress(t *testing.T) {
 	v := 512
 	logv := Log2(v)

@@ -2,8 +2,6 @@ package dbsp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/cost"
 )
@@ -22,7 +20,7 @@ type StepCost struct {
 	Cost float64
 }
 
-// Result is the outcome of a native D-BSP run.
+// Result is the outcome of a D-BSP run.
 type Result struct {
 	// Cost is the total D-BSP time T: the sum of superstep costs.
 	Cost float64
@@ -56,127 +54,83 @@ func (r *Result) CommCost() float64 {
 
 // NewContexts allocates and initialises the contexts of prog: v blocks
 // of µ zeroed words with Init applied to each data region, all carved
-// from one flat backing slice. Both the native engine and the
-// sequential simulators start from this state; the sharded engine uses
-// the per-shard variant NewContextsSharded over the same chunked
-// allocator, so initial states coincide word for word.
+// from one flat backing slice. The sequential simulators start from
+// this state; the engine carves the same contexts from per-shard
+// arenas over the same chunked allocator, so initial states coincide
+// word for word.
 func NewContexts(prog *Program) [][]Word {
 	return newContextsChunked(prog, prog.V)
 }
 
-// Run executes prog natively on a D-BSP(v, µ, g) machine. Execution
-// model: within each superstep the v processor handlers are chunked
-// over GOMAXPROCS worker goroutines (contiguous ranges of processor
-// ids, not one goroutine per processor), a barrier joins the workers,
-// and message delivery happens sequentially at the superstep boundary.
-// It returns the final contexts and the exact model cost. For large v,
-// RunSharded runs the same semantics over per-shard arenas, cluster by
-// cluster where every cluster fits inside a shard.
+// Run executes prog on a D-BSP(v, µ, g) machine at the default shard
+// count (GOMAXPROCS) and returns the final contexts and the exact model
+// cost. It is RunSharded(prog, g, 0).
 func Run(prog *Program, g cost.Func) (*Result, error) {
-	return runHooked(prog, g, nil)
+	return RunSharded(prog, g, 0)
 }
 
-// runStepHooked executes one superstep: handlers in parallel, an
-// optional pre-delivery observer, then delivery. verify controls the
-// engine-side Transpose declaration check; RunInspected disables it so
-// an inspector sees declaration violations instead of an engine error.
-func runStepHooked(prog *Program, ctxs [][]Word, st Superstep, collect func(), verify bool, buf *stepBuffers) (StepCost, error) {
-	sc := StepCost{Label: st.Label}
-	if st.Run == nil {
-		return sc, nil // dummy superstep: no computation, no messages
-	}
-	v := prog.V
-	ops, errs := buf.ops, buf.errs
-	for p := 0; p < v; p++ {
-		ops[p], errs[p] = 0, nil
-	}
+// RunSharded executes prog with the v processor contexts multiplexed
+// over the given number of shards (<= 0 selects GOMAXPROCS; counts
+// above v clamp to v). The result — final contexts, per-step costs,
+// total cost, error text — is bit-identical at every shard count; only
+// the execution strategy differs.
+func RunSharded(prog *Program, g cost.Func, shards int) (*Result, error) {
+	return engineLoop(prog, g, shards, nil, nil)
+}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > v {
-		workers = v
+// engineLoop validates prog, builds the engine and runs every
+// superstep: pre receives each executed superstep's outbox snapshot
+// before delivery, post receives the contexts right after delivery
+// (inboxes still hold the delivered messages). The engine-side
+// Transpose verification is skipped when post is set — an inspector
+// that wants to observe a corrupted route end-to-end validates
+// declarations itself. The engine is built only after the program
+// validates, so Init never runs for a rejected program. The cost fold
+// is shard-independent: each step's Tau and H produce sc.Cost in step
+// order, so runs that agree on the integers agree on every charged
+// float64 bit for bit.
+func engineLoop(prog *Program, g cost.Func, shards int,
+	pre func(step, label int, msgs []MessageTrace),
+	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
 	}
-	if workers == 1 {
-		// One worker runs inline, like the sharded engine at one shard:
-		// no goroutine and no barrier per superstep.
-		runRange(prog, ctxs, st, 0, v, ops, errs)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (v + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > v {
-				hi = v
+	if g == nil {
+		return nil, fmt.Errorf("dbsp: nil bandwidth function")
+	}
+	e := newShardEngine(prog, shards)
+	ctxs := e.ctxs
+	res := &Result{Contexts: ctxs}
+	for s, st := range prog.Steps {
+		var collect func()
+		if pre != nil && st.Run != nil {
+			step, label := s, st.Label
+			collect = func() {
+				pre(step, label, collectOutboxes(prog.Layout, ctxs))
 			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				runRange(prog, ctxs, st, lo, hi, ops, errs)
-			}(lo, hi)
 		}
-		wg.Wait()
-	}
-
-	for p, err := range errs {
+		sc, err := e.runStep(st, collect, post == nil)
 		if err != nil {
-			return sc, fmt.Errorf("processor %d: %w", p, err)
+			return nil, fmt.Errorf("dbsp: program %q superstep %d: %w", prog.Name, s, err)
+		}
+		if post != nil && st.Run != nil {
+			post(s, st, ctxs)
+		}
+		sc.Cost = float64(sc.Tau) + float64(sc.H)*CommCost(g, prog.Mu(), prog.V, st.Label)
+		res.Steps = append(res.Steps, sc)
+		res.Cost += sc.Cost
+		if sc.Tau > res.MaxTau {
+			res.MaxTau = sc.Tau
 		}
 	}
-	for _, o := range ops {
-		if o > sc.Tau {
-			sc.Tau = o
-		}
-	}
-	if verify && st.Transpose != nil {
-		if err := verifyTranspose(prog, ctxs, st, 0, v); err != nil {
-			return sc, err
-		}
-	}
-	if collect != nil {
-		collect()
-	}
-	h, err := deliverInto(prog.Layout, ctxs, buf.received)
-	if err != nil {
-		return sc, err
-	}
-	sc.H = h
-	return sc, nil
-}
-
-// runRange runs the handlers of processors [lo, hi) on one worker's
-// runner, recording each processor's ops and error in its own slot.
-func runRange(prog *Program, ctxs [][]Word, st Superstep, lo, hi int, ops []int64, errs []error) {
-	r := newProcRunner(prog, st.Label)
-	for p := lo; p < hi; p++ {
-		r.runProc(ctxs, st, p, &ops[p], &errs[p])
-	}
-}
-
-// stepBuffers holds the per-superstep scratch slices of one engine run.
-// The loop reuses them across supersteps instead of reallocating three
-// slices per superstep, which dominated the engine's allocation profile
-// on small programs.
-type stepBuffers struct {
-	ops      []int64
-	errs     []error
-	received []int
-}
-
-func newStepBuffers(v int) *stepBuffers {
-	return &stepBuffers{
-		ops:      make([]int64, v),
-		errs:     make([]error, v),
-		received: make([]int, v),
-	}
+	return res, nil
 }
 
 // verifyTranspose checks a Superstep.Transpose declaration against the
 // outboxes the handlers of processors [lo, hi) actually produced:
-// exactly one message per processor, to the declared destination. The
-// native engine checks [0, v) at once; the sharded engine checks each
-// cluster of a cluster-local step right after its handlers run.
+// exactly one message per processor, to the declared destination. A
+// fused cluster-local step checks each cluster right after its handlers
+// run; any other step checks [0, v) at once.
 func verifyTranspose(prog *Program, ctxs [][]Word, st Superstep, lo, hi int) error {
 	l := prog.Layout
 	cs := ClusterSize(prog.V, st.Label)
@@ -198,13 +152,13 @@ func verifyTranspose(prog *Program, ctxs [][]Word, st Superstep, lo, hi int) err
 	return nil
 }
 
-// procRunner is the reusable handler view of one native worker or one
-// shard: a store and a Ctx that runProc rebinds to each processor the
-// worker runs, so a superstep allocates one runner per worker instead
-// of a store and a Ctx per processor. A runner is allocated inside its
-// worker's goroutine and never shared: the store's ops counter is
-// written on every Load and Put, so runners packed side by side in one
-// slice would false-share cache lines across workers.
+// procRunner is the reusable handler view of one shard: a store and a
+// Ctx that runProc rebinds to each processor the shard runs, so a
+// superstep allocates one runner per shard instead of a store and a Ctx
+// per processor. A runner is allocated inside its shard's task and
+// never shared: the store's ops counter is written on every Load and
+// Put, so runners packed side by side in one slice would false-share
+// cache lines across shards.
 type procRunner struct {
 	store sliceStore
 	ctx   Ctx
@@ -229,53 +183,4 @@ func (r *procRunner) runProc(ctxs [][]Word, st Superstep, p int, ops *int64, err
 	r.ctx.id = p
 	st.Run(&r.ctx)
 	*ops = r.store.ops
-}
-
-// Deliver moves every queued outbox message into its destination inbox
-// and returns the h-relation degree: max over processors of
-// max(sent, received). Inboxes are cleared first, messages are
-// delivered in ascending sender order (send order preserved within a
-// sender), and outboxes are cleared afterwards — the exact discipline
-// the sequential simulators replicate so that final states coincide.
-func Deliver(l Layout, ctxs [][]Word) (h int, err error) {
-	return deliverInto(l, ctxs, make([]int, len(ctxs)))
-}
-
-// deliverInto is Deliver with a caller-owned received-count buffer
-// (len(ctxs) entries, contents ignored), so the engine loop can reuse
-// one across supersteps.
-func deliverInto(l Layout, ctxs [][]Word, received []int) (h int, err error) {
-	for _, ctx := range ctxs {
-		ctx[l.InCountOff()] = 0
-	}
-	received = received[:len(ctxs)]
-	for i := range received {
-		received[i] = 0
-	}
-	for p, ctx := range ctxs {
-		sent := int(ctx[l.OutCountOff()])
-		if sent > h {
-			h = sent
-		}
-		for k := 0; k < sent; k++ {
-			dest := int(ctx[l.OutboxOff(k)])
-			payload := ctx[l.OutboxOff(k)+1]
-			dctx := ctxs[dest]
-			n := int(dctx[l.InCountOff()])
-			if n >= l.MaxMsgs {
-				return 0, fmt.Errorf("inbox overflow at processor %d (MaxMsgs=%d)", dest, l.MaxMsgs)
-			}
-			dctx[l.InboxOff(n)] = Word(p)
-			dctx[l.InboxOff(n)+1] = payload
-			dctx[l.InCountOff()] = Word(n + 1)
-			received[dest]++
-		}
-		ctx[l.OutCountOff()] = 0
-	}
-	for _, r := range received {
-		if r > h {
-			h = r
-		}
-	}
-	return h, nil
 }

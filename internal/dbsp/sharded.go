@@ -4,43 +4,42 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"repro/internal/cost"
-	"repro/internal/obs"
 )
 
-// The sharded engine executes the same D-BSP semantics as Run while
-// scaling to very large v (2^20 processors and beyond): processors are
-// lightweight contexts multiplexed over a small number of shards, each
-// shard owning a contiguous range of processor ids backed by its own
-// arena. A superstep follows the cluster structure of its label, as
-// the paper's simulations do. When every cluster lies inside one shard
+// The engine executes D-BSP semantics at any v (2^20 processors and
+// beyond): processors are lightweight contexts multiplexed over a small
+// number of shards, each shard owning a contiguous range of processor
+// ids backed by its own arena — the paper's Brent-lemma analogue
+// (Theorem 10), one i-cluster at a time on fewer workers. A superstep
+// follows the cluster structure of its label, as the paper's
+// simulations do. When every cluster lies inside one shard
 // (cluster-local), each shard runs its clusters one at a time —
 // handlers, Transpose check, delivery — while the cluster's contexts
-// are still in cache, and the step takes one barrier. Otherwise the
-// handlers run behind one barrier and a two-phase exchange moves only
-// the messages that cross a shard boundary through buckets. τ, h and
-// errors accumulate shard-locally instead of in per-processor slices.
+// are still in cache, and the step takes one barrier. Otherwise each
+// shard runs its handlers and buckets the messages that leave it behind
+// one barrier, and delivers behind a second. τ, h and errors accumulate
+// shard-locally instead of in per-processor slices.
 //
-// Bit-identity with the native engine is by construction, not by
+// Results are identical at every shard count by construction, not by
 // tolerance: τ is a max over per-processor int64 ops (order
 // independent), h is a max over per-processor int sent/received counts
-// (order independent), every inbox fills in the native ascending
-// (sender, send index) order, and errors keep the native precedence —
+// (order independent), every inbox fills in the global scan order
+// (ascending sender, send order within a sender — the order the
+// sequential simulators deliver in), and errors keep one precedence —
 // handler error, then Transpose violation, then inbox overflow — each
-// reduced across shards to the one the native ascending scan finds
-// first. The only floating-point arithmetic — the cost fold
+// reduced across shards to the one an ascending scan finds first. The
+// only floating-point arithmetic — the cost fold
 // sc.Cost = float64(Tau) + float64(H)·g(µ·v/2^i) accumulated in step
-// order — lives in engineLoop, shared verbatim by both engines.
-// Engines that agree on every integer therefore agree on every charged
-// float64, bit for bit. The five-way differential fuzz test in
-// internal/core enforces this.
+// order — lives in engineLoop, shared by every shard count. Runs that
+// agree on every integer therefore agree on every charged float64, bit
+// for bit. The differential fuzz test in internal/core enforces this
+// against one shard and the three simulators.
 
-// ShardCount resolves a requested shard count for a v-processor run:
+// shardCount resolves a requested shard count for a v-processor run:
 // values <= 0 select GOMAXPROCS (the default), and the result is
 // clamped to [1, v] so shards > v degrades to one processor per shard
 // rather than empty shards.
-func ShardCount(shards, v int) int {
+func shardCount(shards, v int) int {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -78,16 +77,6 @@ func newContextsChunked(prog *Program, chunk int) [][]Word {
 	return ctxs
 }
 
-// NewContextsSharded allocates and initialises the contexts of prog in
-// per-shard arenas: shard s owns the contiguous processor range
-// [s·chunk, (s+1)·chunk) and its contexts share one backing slice.
-// Word-for-word the same initial state as NewContexts.
-func NewContextsSharded(prog *Program, shards int) [][]Word {
-	shards = ShardCount(shards, prog.V)
-	chunk := (prog.V + shards - 1) / shards
-	return newContextsChunked(prog, chunk)
-}
-
 // overflow records the first (lowest sender, lowest send index) inbox
 // overflow a shard observed during delivery.
 type overflow struct {
@@ -99,8 +88,8 @@ type overflow struct {
 // barrier: its τ (max ops over its processors), its first handler error
 // and the processor that raised it, its first Transpose violation
 // (cluster-local steps only), the max messages one of its processors
-// sent and received, and its first inbox overflow. These replace the
-// native engine's per-processor slices — O(shards), not O(v). A task
+// sent and received, and its first inbox overflow. They take the place
+// of per-processor slices — O(shards), not O(v). A task
 // accumulates in locals and writes its slot once, so the hot loops
 // touch no shared memory.
 type shardResult struct {
@@ -111,7 +100,7 @@ type shardResult struct {
 	ovf        overflow
 }
 
-// shardEngine is the per-run state of a sharded execution: the context
+// shardEngine is the per-run state of an execution: the context
 // arenas plus shard-local accumulators reused across supersteps. Shard
 // s owns processors [s·chunk, min((s+1)·chunk, v)).
 type shardEngine struct {
@@ -125,14 +114,14 @@ type shardEngine struct {
 	// d != s: flat (src, idx, dest, payload) records in ascending
 	// (src, idx) order, reused across supersteps via [:0]. idx is the
 	// message's send index within its sender's outbox — with src it
-	// ranks messages in the native engine's global delivery-scan order,
-	// which is what makes cross-shard overflow reporting exact.
+	// ranks messages in the global scan order, which is what makes
+	// cross-shard overflow reporting exact.
 	// Messages that stay inside their shard never enter a bucket.
 	out [][][]Word
 }
 
 func newShardEngine(prog *Program, shards int) *shardEngine {
-	shards = ShardCount(shards, prog.V)
+	shards = shardCount(shards, prog.V)
 	chunk := (prog.V + shards - 1) / shards
 	shards = (prog.V + chunk - 1) / chunk // drop shards the rounding left empty
 	e := &shardEngine{
@@ -156,31 +145,34 @@ func (e *shardEngine) span(s int) (lo, hi int) {
 	return lo, hi
 }
 
-// parallel runs fn once per shard and barriers. One shard runs inline
-// — the sharded engine at shards=1 is a sequential loop with zero
-// goroutine overhead.
+// parallel runs fn once per shard and barriers. Shard 0 runs on the
+// calling goroutine, and one shard runs inline with no goroutine and no
+// barrier at all.
 func (e *shardEngine) parallel(fn func(s int)) {
 	if e.shards == 1 {
 		fn(0)
 		return
 	}
 	var wg sync.WaitGroup
-	for s := 0; s < e.shards; s++ {
+	for s := 1; s < e.shards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			fn(s)
 		}(s)
 	}
+	fn(0)
 	wg.Wait()
 }
 
-// runStep executes one superstep; it is the stepFunc of the sharded
-// engine. A cluster-local step without a pre-delivery hook runs fused,
-// cluster by cluster, behind one barrier. Any other step runs the
-// handlers, then the Transpose check and the hook, then the two-phase
-// exchange. Either way the errors reduce in the native precedence:
-// handler error, Transpose violation, inbox overflow.
+// runStep executes one superstep. A cluster-local step without a
+// pre-delivery hook runs fused, cluster by cluster, behind one barrier.
+// Any other step runs each shard's handlers and exchange phase A behind
+// one barrier, then the Transpose check and the hook, then phase B
+// behind a second. Phase A only reads the outboxes, so the check and
+// the hook see them exactly as the handlers left them. Either way the
+// errors reduce in one precedence: handler error, Transpose violation,
+// inbox overflow.
 func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCost, error) {
 	sc := StepCost{Label: st.Label}
 	if st.Run == nil {
@@ -210,6 +202,9 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 			var r shardResult
 			r.tau, r.errProc, r.err = e.runHandlers(newProcRunner(e.prog, st.Label), st, lo, hi)
 			e.res[s] = r
+			if r.err == nil && !local {
+				e.collectShard(s)
+			}
 		})
 		if err := e.handlerError(&sc); err != nil {
 			return sc, err
@@ -221,9 +216,6 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 		}
 		if collect != nil {
 			collect()
-		}
-		if !local {
-			e.parallel(e.collectShard)
 		}
 		e.parallel(func(s int) { e.deliverShard(s, !local) })
 	}
@@ -299,10 +291,12 @@ func (e *shardEngine) runClusters(s int, st Superstep, verify bool) {
 	e.res[s] = r
 }
 
-// collectShard is exchange phase A for shard s: copy every message
-// whose destination lies in another shard into the bucket for that
-// shard. The outboxes stay in place; phase B delivers the messages
-// that stay inside the shard straight from them and clears them.
+// collectShard is exchange phase A for shard s, run in the shard's
+// handler task right after its handlers: copy every message whose
+// destination lies in another shard into the bucket for that shard.
+// It reads only the shard's own outboxes and leaves them in place;
+// phase B delivers the messages that stay inside the shard straight
+// from them and clears them.
 func (e *shardEngine) collectShard(s int) {
 	l := e.prog.Layout
 	lo, hi := e.span(s)
@@ -326,8 +320,8 @@ func (e *shardEngine) collectShard(s int) {
 // lower shards, the shard's own outboxes and the buckets of higher
 // shards, in that order, into the inboxes runHandlers emptied. Each part
 // is in ascending (src, idx) order and the parts cover ascending
-// sender ranges, so the stream is the native delivery order restricted
-// to this shard's processors. cross is false when phase A was skipped
+// sender ranges, so the stream is the global scan order restricted to
+// this shard's processors. cross is false when phase A was skipped
 // because no cluster of the step spans shards; the buckets are then
 // stale and not read. On the first overflow the shard records the
 // offender and stops; delivered picks the global first.
@@ -352,8 +346,8 @@ func (e *shardEngine) deliverShard(s int, cross bool) {
 
 // handlerError folds the shards' τ into sc and returns the handler
 // error of the lowest erroring processor, if any. Ascending shards own
-// ascending processor ranges, so the first erroring shard holds the
-// processor the native engine's ascending-p scan reports.
+// ascending processor ranges and each shard stops at its first error,
+// so the first erroring shard holds the lowest erroring processor.
 func (e *shardEngine) handlerError(sc *StepCost) error {
 	for _, r := range e.res {
 		if r.err != nil {
@@ -364,8 +358,8 @@ func (e *shardEngine) handlerError(sc *StepCost) error {
 	return nil
 }
 
-// delivered reduces the shards' delivery results to exactly the native
-// Deliver results: h, or the overflow the native scan hits first.
+// delivered reduces the shards' delivery results to the step's h, or
+// to the overflow a sequential scan in global order hits first.
 func (e *shardEngine) delivered() (h int, err error) {
 	first := overflow{}
 	for _, r := range e.res {
@@ -379,7 +373,7 @@ func (e *shardEngine) delivered() (h int, err error) {
 		// messages (in the global scan order) target the same
 		// processor — never on messages to other processors — so the
 		// minimal-(src, idx) overflow across shards is precisely the
-		// one the native sequential scan hits first.
+		// one a sequential scan in global order hits first.
 		return 0, fmt.Errorf("inbox overflow at processor %d (MaxMsgs=%d)", first.dest, e.prog.Layout.MaxMsgs)
 	}
 	return h, nil
@@ -442,45 +436,4 @@ func (d *deliverer) deliverBucket(rec []Word) bool {
 		}
 	}
 	return true
-}
-
-// RunSharded executes prog on the sharded engine with the given shard
-// count (<= 0 selects GOMAXPROCS; counts above v clamp to v). The
-// result — final contexts, per-step costs, total cost, error text — is
-// bit-identical to Run's; only the execution strategy differs. See the
-// package-level engine comparison on Run.
-func RunSharded(prog *Program, g cost.Func, shards int) (*Result, error) {
-	return runShardedLoop(prog, g, shards, nil, nil)
-}
-
-// runShardedLoop is the sharded engine's loop, sharing engineLoop (and
-// therefore the entire cost fold and hook surface) with the native
-// engine.
-func runShardedLoop(prog *Program, g cost.Func, shards int,
-	pre func(step, label int, msgs []MessageTrace),
-	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
-	return engineLoop(prog, g, func() ([][]Word, stepFunc) {
-		e := newShardEngine(prog, shards)
-		return e.ctxs, e.runStep
-	}, pre, post)
-}
-
-// RunShardedObserved is RunObserved on the sharded engine: it records
-// the full message trace and, when o is non-nil, publishes the run's
-// accounting. Note the trace snapshot is O(messages) per superstep —
-// at very large v prefer RunSharded unless the trace is needed.
-func RunShardedObserved(prog *Program, g cost.Func, shards int, o *obs.Observer) (*Result, *Trace, error) {
-	return RunShardedInspected(prog, g, shards, o, nil)
-}
-
-// RunShardedInspected is RunInspected on the sharded engine: the same
-// StepEvent stream, observer accounting and disabled engine-side
-// Transpose verification, produced by the sharded execution strategy.
-func RunShardedInspected(prog *Program, g cost.Func, shards int, o *obs.Observer, inspect func(StepEvent)) (*Result, *Trace, error) {
-	loop := func(prog *Program, g cost.Func,
-		pre func(step, label int, msgs []MessageTrace),
-		post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
-		return runShardedLoop(prog, g, shards, pre, post)
-	}
-	return runInspectedLoop(prog, loop, g, o, inspect)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/obs"
 )
 
@@ -23,7 +22,7 @@ type StepTrace struct {
 	Messages []MessageTrace
 }
 
-// Trace is the communication record of a native run, the raw material
+// Trace is the communication record of a run, the raw material
 // for locality analysis: how far (in cluster levels) each message
 // actually travelled, independent of the labels the program declared.
 type Trace struct {
@@ -31,29 +30,13 @@ type Trace struct {
 	Steps []StepTrace
 }
 
-// RunTraced executes prog like Run while recording every routed
-// message.
-func RunTraced(prog *Program, g cost.Func) (*Result, *Trace, error) {
-	return RunObserved(prog, g, nil)
-}
-
-// RunObserved executes prog like Run while recording every routed
-// message and, when o is non-nil, publishing the run's accounting to
-// the observability layer: the per-label superstep histogram
-// (dbsp.lambda.label.<i> — the λ_i of the Theorem 5/12 formulas),
-// message volume, h-relation degrees, the computation/communication
-// cost split, and one "superstep" trace event per executed superstep.
-func RunObserved(prog *Program, g cost.Func, o *obs.Observer) (*Result, *Trace, error) {
-	return RunInspected(prog, g, o, nil)
-}
-
-// costPhases is the declared cost partition of a native run: the
+// costPhases is the declared cost partition of a D-BSP run: the
 // top-level dbsp.cost.<phase> counters sum to dbsp.cost.total. The
 // observe test sums this list against the total and the obspartition
 // analyzer cross-checks it against the charges in publishRun.
 var costPhases = []string{"compute", "comm"}
 
-// publishRun copies a finished native run's accounting into the
+// publishRun copies a finished run's accounting into the
 // registry and emits per-superstep events. Totals are copied verbatim
 // (dbsp.cost.total is exactly Result.Cost).
 func publishRun(o *obs.Observer, prog *Program, res *Result, tr *Trace) {
@@ -167,82 +150,6 @@ func (t *Trace) FormatHistogram() string {
 		fmt.Fprintf(&b, "%6d %10d  %s\n", i, h, bar)
 	}
 	return b.String()
-}
-
-// runHooked is Run with a per-superstep message observer (nil hook =
-// plain Run). The hook receives the outbox contents before delivery, in
-// the delivery order (ascending sender).
-func runHooked(prog *Program, g cost.Func, hook func(step, label int, msgs []MessageTrace)) (*Result, error) {
-	return runLoop(prog, g, hook, nil)
-}
-
-// stepFunc executes one superstep of a run over the engine's contexts:
-// handlers, the engine-side Transpose verification (when verify is
-// set), the pre-delivery collect hook, then message delivery. Both the
-// native and the sharded engine expose their per-superstep work through
-// this signature so one loop — and one hook/inspect surface — drives
-// them all.
-type stepFunc func(st Superstep, collect func(), verify bool) (StepCost, error)
-
-// runLoop is the native engine's loop: GOMAXPROCS-chunked handler
-// execution (runStepHooked) over one flat context arena.
-func runLoop(prog *Program, g cost.Func,
-	pre func(step, label int, msgs []MessageTrace),
-	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
-	return engineLoop(prog, g, func() ([][]Word, stepFunc) {
-		ctxs := NewContexts(prog)
-		buf := newStepBuffers(prog.V)
-		return ctxs, func(st Superstep, collect func(), verify bool) (StepCost, error) {
-			return runStepHooked(prog, ctxs, st, collect, verify, buf)
-		}
-	}, pre, post)
-}
-
-// engineLoop is the loop shared by every execution engine: pre receives
-// each executed superstep's outbox snapshot before delivery, post
-// receives the contexts right after delivery (inboxes still hold the
-// delivered messages). The engine-side Transpose verification is
-// skipped when post is set — an inspector that wants to observe a
-// corrupted route end-to-end validates declarations itself. newEngine
-// builds the engine state (contexts plus step runner) only after the
-// program validates, so Init never runs for a rejected program. The
-// cost fold is engine-independent: each step's Tau and H produce
-// sc.Cost in step order, so engines that agree on the integers agree on
-// every charged float64 bit for bit.
-func engineLoop(prog *Program, g cost.Func, newEngine func() ([][]Word, stepFunc),
-	pre func(step, label int, msgs []MessageTrace),
-	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	if g == nil {
-		return nil, fmt.Errorf("dbsp: nil bandwidth function")
-	}
-	ctxs, runStep := newEngine()
-	res := &Result{Contexts: ctxs}
-	for s, st := range prog.Steps {
-		var collect func()
-		if pre != nil && st.Run != nil {
-			step, label := s, st.Label
-			collect = func() {
-				pre(step, label, collectOutboxes(prog.Layout, ctxs))
-			}
-		}
-		sc, err := runStep(st, collect, post == nil)
-		if err != nil {
-			return nil, fmt.Errorf("dbsp: program %q superstep %d: %w", prog.Name, s, err)
-		}
-		if post != nil && st.Run != nil {
-			post(s, st, ctxs)
-		}
-		sc.Cost = float64(sc.Tau) + float64(sc.H)*CommCost(g, prog.Mu(), prog.V, st.Label)
-		res.Steps = append(res.Steps, sc)
-		res.Cost += sc.Cost
-		if sc.Tau > res.MaxTau {
-			res.MaxTau = sc.Tau
-		}
-	}
-	return res, nil
 }
 
 // collectOutboxes snapshots every queued message in delivery order.

@@ -29,7 +29,7 @@ func TestRunTracedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, tr, err := RunTraced(prog, cost.Log{})
+	traced, tr, err := RunTraced(prog, cost.Log{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestLocalityLevel(t *testing.T) {
 func TestLocalityHistogramAndSlack(t *testing.T) {
 	v := 16
 	prog := pairProg(v)
-	_, tr, err := RunTraced(prog, cost.Log{})
+	_, tr, err := RunTraced(prog, cost.Log{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestLocalityHistogramAndSlack(t *testing.T) {
 	// A sloppy variant: declaring everything at label 0 leaves slack.
 	sloppy := pairProg(v)
 	sloppy.Steps[0].Label = 0
-	_, tr2, err := RunTraced(sloppy, cost.Log{})
+	_, tr2, err := RunTraced(sloppy, cost.Log{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLocalityHistogramAndSlack(t *testing.T) {
 }
 
 func TestFormatHistogram(t *testing.T) {
-	_, tr, err := RunTraced(pairProg(8), cost.Log{})
+	_, tr, err := RunTraced(pairProg(8), cost.Log{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFormatHistogram(t *testing.T) {
 func TestTraceEmptyProgram(t *testing.T) {
 	prog := &Program{Name: "empty-trace", V: 4, Layout: Layout{Data: 1},
 		Steps: []Superstep{{Label: 0, Run: func(c *Ctx) {}}}}
-	_, tr, err := RunTraced(prog, cost.Log{})
+	_, tr, err := RunTraced(prog, cost.Log{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func E19LabelSlack(p sweep.Params) *Table {
 		algosSort(p, v),
 	}
 	for _, prog := range progs {
-		_, tr, err := dbsp.RunTraced(prog, cost.Const{C: 1})
+		_, tr, err := dbsp.RunTraced(prog, cost.Const{C: 1}, dbsp.Options{})
 		must(err)
 		t.Rows = append(t.Rows, []string{
 			prog.Name, fmt.Sprint(tr.Messages()), fmt.Sprintf("%.3f", tr.Slack())})
@@ -172,7 +172,7 @@ func E19LabelSlack(p sweep.Params) *Table {
 			{Label: 0, Run: func(c *dbsp.Ctx) {}},
 		},
 	}
-	_, tr, err := dbsp.RunTraced(sloppy, cost.Const{C: 1})
+	_, tr, err := dbsp.RunTraced(sloppy, cost.Const{C: 1}, dbsp.Options{})
 	must(err)
 	t.Rows = append(t.Rows, []string{
 		sloppy.Name, fmt.Sprint(tr.Messages()), fmt.Sprintf("%.3f", tr.Slack())})

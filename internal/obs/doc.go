@@ -30,7 +30,7 @@
 //
 // # Metric names
 //
-// Components prefix their metrics: "dbsp." (native engine), "hmm."
+// Components prefix their metrics: "dbsp." (the D-BSP engine), "hmm."
 // (Section 3 simulator), "bt." (Section 5 simulator), "self."
 // (Section 4 self-simulation). Within a component:
 //
