@@ -248,9 +248,10 @@ func BenchmarkE16AMSort(b *testing.B) {
 	b.ReportMetric(float64(comps), "comparisons/op")
 }
 
-// BenchmarkNativeEngine measures the D-BSP engine itself at its default
-// shard count (not a paper experiment; included for harness costing).
-func BenchmarkNativeEngine(b *testing.B) {
+// BenchmarkRun measures the D-BSP engine itself through dbsp.Run, at
+// its default shard count (not a paper experiment; included for harness
+// costing).
+func BenchmarkRun(b *testing.B) {
 	prog := progtest.Rotate(1024, progtest.Descending(1024)...)
 	for i := 0; i < b.N; i++ {
 		if _, err := dbsp.Run(prog, alphaHalf); err != nil {

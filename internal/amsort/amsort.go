@@ -123,7 +123,13 @@ func Sort(m *bt.Machine, p *Plan, data, scratch, hot, cold int64) int64 {
 	if p.count <= 1 {
 		return 0
 	}
-	s := &sorter{m: m, p: p, hot: hot, cold: cold}
+	K := len(p.chunk)
+	win := make([]int64, 5*K)
+	s := &sorter{m: m, p: p, hot: hot, cold: cold,
+		a:      stream{side: bufA, pos: win[0:K], cnt: win[K : 2*K]},
+		b:      stream{side: bufB, pos: win[2*K : 3*K], cnt: win[3*K : 4*K]},
+		outCnt: win[4*K:],
+	}
 	s.sortBaseRuns(data)
 	src, dst := data, scratch
 	for width := int64(minChunk); width < p.count; width *= 2 {
@@ -157,12 +163,20 @@ func IsSorted(m *bt.Machine, data, count, rec int64) bool {
 	return true
 }
 
+// sorter is the state of one Sort call. Its merge cursors are
+// allocated once per call and reset by every merge.
 type sorter struct {
 	m     *bt.Machine
 	p     *Plan
 	hot   int64
 	cold  int64
 	comps int64 // tag comparisons performed
+
+	a, b stream
+	// outCnt[j] = records accumulated in stage j's OUT buffer; outDst =
+	// cursor into the current merge's destination.
+	outCnt []int64
+	outDst int64
 }
 
 func min64(a, b int64) int64 {
@@ -257,38 +271,45 @@ func (s *sorter) refill(st *stream, j int) bool {
 	return true
 }
 
+// reset points st at a run of left records at off in main memory with
+// every stage window empty.
+func (st *stream) reset(off, left int64) {
+	st.mainOff, st.mainLeft = off, left
+	clear(st.pos)
+	clear(st.cnt)
+}
+
+// flush pushes stage j's OUT buffer one stage outward (or to main
+// memory at the outermost stage).
+func (s *sorter) flush(j int) {
+	p := s.p
+	outCnt := s.outCnt
+	if outCnt[j] == 0 {
+		return
+	}
+	src := p.bufAddr(j, bufOut, s.hot, s.cold)
+	if j == len(p.chunk)-1 {
+		s.m.CopyRange(src, s.outDst, outCnt[j]*p.rec)
+		s.outDst += outCnt[j] * p.rec
+	} else {
+		if outCnt[j+1]+outCnt[j] > p.chunk[j+1] {
+			s.flush(j + 1)
+		}
+		up := p.bufAddr(j+1, bufOut, s.hot, s.cold)
+		s.m.CopyRange(src, up+outCnt[j+1]*p.rec, outCnt[j]*p.rec)
+		outCnt[j+1] += outCnt[j]
+	}
+	outCnt[j] = 0
+}
+
 // merge merges the sorted runs (aOff, aCnt) and (bOff, bCnt) into dst.
 func (s *sorter) merge(aOff, aCnt, bOff, bCnt, dst int64) {
 	p := s.p
-	K := len(p.chunk)
-	a := &stream{side: bufA, mainOff: aOff, mainLeft: aCnt, pos: make([]int64, K), cnt: make([]int64, K)}
-	b := &stream{side: bufB, mainOff: bOff, mainLeft: bCnt, pos: make([]int64, K), cnt: make([]int64, K)}
-	// outCnt[j] = records accumulated in stage j's OUT buffer; outDst =
-	// cursor into dst.
-	outCnt := make([]int64, K)
-	outDst := dst
-
-	// flush pushes stage j's OUT buffer one stage outward (or to main
-	// memory at the outermost stage).
-	var flush func(j int)
-	flush = func(j int) {
-		if outCnt[j] == 0 {
-			return
-		}
-		src := p.bufAddr(j, bufOut, s.hot, s.cold)
-		if j == K-1 {
-			s.m.CopyRange(src, outDst, outCnt[j]*p.rec)
-			outDst += outCnt[j] * p.rec
-		} else {
-			if outCnt[j+1]+outCnt[j] > p.chunk[j+1] {
-				flush(j + 1)
-			}
-			up := p.bufAddr(j+1, bufOut, s.hot, s.cold)
-			s.m.CopyRange(src, up+outCnt[j+1]*p.rec, outCnt[j]*p.rec)
-			outCnt[j+1] += outCnt[j]
-		}
-		outCnt[j] = 0
-	}
+	a, b, outCnt := &s.a, &s.b, s.outCnt
+	a.reset(aOff, aCnt)
+	b.reset(bOff, bCnt)
+	clear(outCnt)
+	s.outDst = dst
 
 	aBuf := p.bufAddr(0, bufA, s.hot, s.cold)
 	bBuf := p.bufAddr(0, bufB, s.hot, s.cold)
@@ -315,13 +336,13 @@ func (s *sorter) merge(aOff, aCnt, bOff, bCnt, dst int64) {
 			}
 		}
 		if outCnt[0] == p.chunk[0] {
-			flush(0)
+			s.flush(0)
 		}
 		s.m.MoveRange(src+st.pos[0]*p.rec, oBuf+outCnt[0]*p.rec, p.rec)
 		st.pos[0]++
 		outCnt[0]++
 	}
-	for j := 0; j < K; j++ {
-		flush(j)
+	for j := range outCnt {
+		s.flush(j)
 	}
 }

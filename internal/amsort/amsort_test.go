@@ -196,3 +196,19 @@ func TestSortProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSortAllocsIndependentOfCount pins that Sort allocates its merge
+// scratch (stream cursors, stage windows, OUT counters) once per call,
+// not once per merge: the allocation count is the same at 2^8 and 2^12
+// records, although the larger sort runs 16x the merges.
+func TestSortAllocsIndependentOfCount(t *testing.T) {
+	f := cost.Poly{Alpha: 0.5}
+	allocs := func(count int) float64 {
+		m, p, data, scratch, hot, cold := buildMachine(f, randRecords(rand.New(rand.NewSource(1)), count, 2))
+		return testing.AllocsPerRun(5, func() { Sort(m, p, data, scratch, hot, cold) })
+	}
+	small, large := allocs(1<<8), allocs(1<<12)
+	if small != large {
+		t.Errorf("Sort allocates %v objects at count 2^8 but %v at 2^12; want equal", small, large)
+	}
+}

@@ -38,7 +38,7 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		procOf:    make([]int, v),
 		posOf:     make([]int, v),
 		directMax: directDeliveryMaxBlocks,
-		ctx:       dbsp.NewCtx(&btStore{m: m}, prog.Layout, 0, v, 0),
+		ctx:       dbsp.NewCtx(m.Machine, prog.Layout, v),
 	}
 	for p := 0; p < v; p++ {
 		st.procOf[p] = p

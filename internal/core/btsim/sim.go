@@ -102,9 +102,9 @@ type state struct {
 	noRoute   bool
 	directMax int64
 
-	// ctx is the handler view compute reuses for every processor: its
-	// store reads the context staged at the top of memory, so moving to
-	// the next processor only rebinds the id and label.
+	// ctx is the handler view compute reuses for every processor: it
+	// is always bound to the context staged at the top of memory, so
+	// moving to the next processor only changes the id and label.
 	ctx *dbsp.Ctx
 
 	// Observability (nil when Options.Obs is nil; all uses nil-safe).
@@ -170,7 +170,7 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		check:     opts.CheckInvariants,
 		noRoute:   opts.DisableRouteDelivery,
 		directMax: directThreshold(opts.DirectDeliveryMaxBlocks),
-		ctx:       dbsp.NewCtx(&btStore{m: m}, prog.Layout, 0, v, 0),
+		ctx:       dbsp.NewCtx(m.Machine, prog.Layout, v),
 	}
 	for p := 0; p < v; p++ {
 		st.procOf[p] = p

@@ -32,25 +32,12 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		m.PokeRange(int64(p)*mu, ctx)
 	}
 
-	store := &hmmStore{m: m}
-	c := dbsp.NewCtx(store, l, 0, v, 0)
+	c := dbsp.NewCtx(m, l, v)
 	for s, step := range prog.Steps {
 		if step.Run == nil {
 			continue
 		}
-		// Local computation, context in place at block p.
-		for p := 0; p < v; p++ {
-			store.base = int64(p) * mu
-			c.Reset(p, step.Label)
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						panic(fmt.Sprintf("hmmsim: naive: superstep %d proc %d: %v", s, p, r))
-					}
-				}()
-				step.Run(c)
-			}()
-		}
+		naiveCompute(c, m, step, s, v, mu)
 		// Delivery: clear all inboxes, scan all outboxes in order.
 		for p := 0; p < v; p++ {
 			m.Write(int64(p)*mu+int64(l.InCountOff()), 0)
@@ -84,4 +71,19 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		res.Contexts[p] = m.Snapshot(int64(p)*mu, mu)
 	}
 	return res, nil
+}
+
+// naiveCompute runs superstep s's handler for every processor p with
+// its context in place at block p. A handler panic is re-raised naming
+// the superstep and the processor that was running.
+func naiveCompute(c *dbsp.Ctx, m *hmm.Machine, step dbsp.Superstep, s, v int, mu int64) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("hmmsim: naive: superstep %d proc %d: %v", s, c.ID(), r))
+		}
+	}()
+	for p := 0; p < v; p++ {
+		c.Bind(m, int64(p)*mu, p, step.Label)
+		step.Run(c)
+	}
 }

@@ -109,10 +109,8 @@ type state struct {
 	observer func(round int64, step, label int, procOfBlock []int)
 
 	// The handler view, reused for every processor the state runs:
-	// simulateStep moves store.base to the processor's block and
-	// rebinds ctx to its id and label.
-	store hmmStore
-	ctx   *dbsp.Ctx
+	// simulateStep binds it to the processor's block, id and label.
+	ctx *dbsp.Ctx
 
 	// Observability (all nil-safe; nil when opts.Obs is nil).
 	obs           *obs.Observer
@@ -254,9 +252,8 @@ func newState(m *hmm.Machine, run *dbsp.Program, layout dbsp.Layout, opts *Optio
 		globalV:  globalV,
 		labelOff: opts.LabelOffset,
 		observer: opts.Observer,
-		store:    hmmStore{m: m},
+		ctx:      dbsp.NewCtx(m, layout, globalV),
 	}
-	st.ctx = dbsp.NewCtx(&st.store, layout, 0, globalV, 0)
 	for p := 0; p < run.V; p++ {
 		st.posOf[p] = p
 		st.procOf[p] = p
@@ -409,8 +406,7 @@ func (st *state) simulateStep(s, lo, csize int) {
 	// processor per superstep that a literal bring-to-top would charge.
 	label := st.labelOff + st.prog.Steps[s].Label
 	for k := 0; k < csize; k++ {
-		st.store.base = int64(k) * mu
-		st.ctx.Reset(st.procOff+lo+k, label)
+		st.ctx.Bind(st.m, int64(k)*mu, st.procOff+lo+k, label)
 		st.prog.Steps[s].Run(st.ctx)
 	}
 	if st.obs != nil {
@@ -513,14 +509,3 @@ func (st *state) verifyInvariants(s, lo, csize int) error {
 	}
 	return nil
 }
-
-// hmmStore adapts the host HMM to the dbsp.Store interface for a
-// context at the top of memory.
-type hmmStore struct {
-	m    *hmm.Machine
-	base int64
-}
-
-func (s *hmmStore) Load(off int) Word   { return s.m.Read(s.base + int64(off)) }
-func (s *hmmStore) Put(off int, v Word) { s.m.Write(s.base+int64(off), v) }
-func (s *hmmStore) Work(n int64)        { s.m.ChargeOps(n) }

@@ -303,3 +303,30 @@ func TestResultFields(t *testing.T) {
 		t.Error("HostCost != Machine.Cost()")
 	}
 }
+
+// TestNaivePanicNamesProcessor pins the re-panic text of the naive
+// baseline, whose handler loop sets up one recover per superstep: a
+// handler panic at processor 5 of superstep 1 is re-raised naming that
+// superstep and processor, not the loop's first or last.
+func TestNaivePanicNamesProcessor(t *testing.T) {
+	prog := &dbsp.Program{
+		Name:   "naive-panic",
+		V:      8,
+		Layout: dbsp.Layout{Data: 1, MaxMsgs: 1},
+		Steps: []dbsp.Superstep{
+			{Label: 0, Run: func(c *dbsp.Ctx) { c.Store(0, 1) }},
+			{Label: 0, Run: func(c *dbsp.Ctx) {
+				if c.ID() == 5 {
+					panic("boom")
+				}
+			}},
+		},
+	}
+	const want = "hmmsim: naive: superstep 1 proc 5: boom"
+	defer func() {
+		if r := recover(); r != want {
+			t.Errorf("SimulateNaive panicked with %v, want %q", r, want)
+		}
+	}()
+	SimulateNaive(prog, cost.Poly{Alpha: 0.5})
+}

@@ -93,7 +93,7 @@ func Simulate(prog *dbsp.Program, g cost.Func, vPrime int, opts *Options) (*Resu
 		inbox:   make([][]message, vPrime),
 		sent:    make([]int, vPrime),
 	}
-	s.ctx = dbsp.NewCtx(&s.store, prog.Layout, 0, prog.V, 0)
+	s.ctx = dbsp.NewCtx(nil, prog.Layout, prog.V)
 	s.modules = make([]*hmm.Machine, vPrime)
 	init := dbsp.NewContexts(prog)
 	for j := 0; j < vPrime; j++ {
@@ -170,10 +170,8 @@ type sim struct {
 	inbox [][]message
 	sent  []int
 	// The handler view globalStep reuses for every guest processor: it
-	// points store at the host module and the guest's block and
-	// rebinds ctx to the guest's id and label.
-	store moduleStore
-	ctx   *dbsp.Ctx
+	// binds ctx to the host module, the guest's block, id and label.
+	ctx *dbsp.Ctx
 
 	moduleCost  float64
 	commCost    float64
@@ -298,10 +296,8 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	for j := 0; j < s.vPrime; j++ {
 		m := s.modules[j]
 		before := m.Cost()
-		s.store.m = m
 		for k := 0; k < s.perHost; k++ {
-			s.store.base = int64(k) * mu
-			s.ctx.Reset(j*s.perHost+k, st.Label)
+			s.ctx.Bind(m, int64(k)*mu, j*s.perHost+k, st.Label)
 			st.Run(s.ctx)
 		}
 		// Collect and clear the outboxes (charged module traffic).
@@ -384,14 +380,3 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	}
 	return nil
 }
-
-// moduleStore adapts one host memory module to the dbsp.Store
-// interface for a guest context at block base.
-type moduleStore struct {
-	m    *hmm.Machine
-	base int64
-}
-
-func (s *moduleStore) Load(off int) Word   { return s.m.Read(s.base + int64(off)) }
-func (s *moduleStore) Put(off int, v Word) { s.m.Write(s.base+int64(off), v) }
-func (s *moduleStore) Work(n int64)        { s.m.ChargeOps(n) }

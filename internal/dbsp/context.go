@@ -1,6 +1,10 @@
 package dbsp
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/hmm"
+)
 
 // Layout fixes how a processor's µ-word context is arranged. The same
 // layout is used by the engine (contexts in Go slices) and by the
@@ -54,64 +58,71 @@ func (l Layout) Validate() error {
 	return nil
 }
 
-// Store abstracts the word storage a context lives in, so the same
-// context logic runs over a Go slice (the engine), an HMM machine
-// (hmmsim), a BT machine (btsim) or an HMM memory module (selfsim).
-// Implementations charge their own model costs per operation. Offsets
-// are context-relative: [0, µ).
-type Store interface {
-	// Load returns context word off.
-	Load(off int) Word
-	// Put sets context word off.
-	Put(off int, v Word)
-	// Work charges n units of pure computation.
-	Work(n int64)
-}
-
-// sliceStore is the engine's store: a context slice plus an
-// operation counter that measures τ, the local computation time.
-type sliceStore struct {
-	mem []Word
-	ops int64
-}
-
-func (s *sliceStore) Load(off int) Word   { s.ops++; return s.mem[off] }
-func (s *sliceStore) Put(off int, v Word) { s.ops++; s.mem[off] = v }
-func (s *sliceStore) Work(n int64)        { s.ops += n }
-
-// NewCtx wraps a Store in the handler-facing context view. It is the
-// hook the sequential simulators use to execute guest handlers against
-// contexts living in simulated hierarchical memory. A simulator builds
-// one Ctx per run and rebinds it to each processor in turn with Reset,
-// repointing its own store at that processor's context; the handler
-// lifetime rule on Ctx is what makes the reuse sound.
-func NewCtx(st Store, layout Layout, id, v, label int) *Ctx {
-	return &Ctx{st: st, layout: layout, id: id, v: v, label: label}
-}
-
-// Reset rebinds c to processor id executing a label superstep. The
-// store is not touched: the caller moves it to id's context itself.
-func (c *Ctx) Reset(id, label int) {
-	c.id, c.label = id, label
-}
-
 // Ctx is the view a superstep handler has of its processor: local
 // memory plus message primitives. Handlers must be deterministic
 // functions of the context contents — the sequential simulators
 // re-execute them processor by processor in cluster-schedule order.
 //
+// A Ctx is backed either by a Go slice (the engine: mem, with τ, the
+// local computation time, counted in ops at one per word access and n
+// per Work) or by host HMM memory (the simulators: the µ words at base
+// in m, charged by the machine itself).
+//
 // A handler may use its *Ctx only until it returns. Every engine and
 // simulator reuses one Ctx for all the processors it runs in turn (one
-// per shard or simulation), so a retained pointer would later
+// per shard task or simulation), so a retained pointer would later
 // read and write another processor's context. The stepconfine analyzer
 // rejects the common form of retention, a Run closure assigning c to
 // a captured variable.
 type Ctx struct {
-	st     Store
+	mem    []Word       // engine context (m == nil)
+	ops    int64        // engine τ counter
+	m      *hmm.Machine // simulator host memory (nil on the engine)
+	base   int64        // address of the context in m
 	layout Layout
 	id     int // processor id
 	v      int // machine size
 	label  int // current superstep label, for send validation
+}
+
+// NewCtx returns a handler view over host HMM memory m (a BT host
+// passes its embedded HMM), the hook the sequential simulators use to
+// execute guest handlers against contexts living in simulated
+// hierarchical memory. A simulator builds one Ctx per run and binds it
+// to each processor in turn with Bind; the handler lifetime rule on Ctx
+// is what makes the reuse sound.
+func NewCtx(m *hmm.Machine, layout Layout, v int) *Ctx {
+	return &Ctx{m: m, layout: layout, v: v}
+}
+
+// Bind points c at the context of processor id, the µ words at address
+// base of m, executing a label superstep.
+func (c *Ctx) Bind(m *hmm.Machine, base int64, id, label int) {
+	c.m, c.base, c.id, c.label = m, base, id, label
+}
+
+// load returns context word off, charging one op on the engine and a
+// read on a simulator host.
+func (c *Ctx) load(off int) Word {
+	if c.m == nil {
+		c.ops++
+		return c.mem[off]
+	}
+	return c.m.Read(c.base + int64(off))
+}
+
+// put sets context word off, charging one op on the engine and a write
+// on a simulator host.
+//
+// The if/else form (no early return) keeps put within the compiler's
+// inlining budget; CI checks that both accessors still inline.
+func (c *Ctx) put(off int, v Word) {
+	if c.m == nil {
+		c.ops++
+		c.mem[off] = v
+	} else {
+		c.m.Write(c.base+int64(off), v)
+	}
 }
 
 // ID returns the processor id in [0, V).
@@ -128,7 +139,7 @@ func (c *Ctx) Load(i int) Word {
 	if i < 0 || i >= c.layout.Data {
 		panic(fmt.Sprintf("dbsp: proc %d: Load(%d) outside data region [0,%d)", c.id, i, c.layout.Data))
 	}
-	return c.st.Load(i)
+	return c.load(i)
 }
 
 // Store sets data word i to val.
@@ -136,16 +147,20 @@ func (c *Ctx) Store(i int, val Word) {
 	if i < 0 || i >= c.layout.Data {
 		panic(fmt.Sprintf("dbsp: proc %d: Store(%d) outside data region [0,%d)", c.id, i, c.layout.Data))
 	}
-	c.st.Put(i, val)
+	c.put(i, val)
 }
 
 // Work charges n extra units of local computation beyond the memory
 // operations already counted.
 func (c *Ctx) Work(n int64) {
 	if n < 0 {
-		panic("dbsp: negative work")
+		panic(fmt.Sprintf("dbsp: proc %d: negative work %d", c.id, n))
 	}
-	c.st.Work(n)
+	if c.m == nil {
+		c.ops += n
+		return
+	}
+	c.m.ChargeOps(n)
 }
 
 // Send queues a constant-size message to processor dest, which must lie
@@ -159,18 +174,18 @@ func (c *Ctx) Send(dest int, payload Word) {
 	if !SameCluster(c.v, c.label, c.id, dest) {
 		panic(fmt.Sprintf("dbsp: proc %d: Send to %d crosses %d-cluster boundary", c.id, dest, c.label))
 	}
-	n := int(c.st.Load(c.layout.OutCountOff()))
+	n := int(c.load(c.layout.OutCountOff()))
 	if n >= c.layout.MaxMsgs {
 		panic(fmt.Sprintf("dbsp: proc %d: outbox overflow (MaxMsgs=%d)", c.id, c.layout.MaxMsgs))
 	}
-	c.st.Put(c.layout.OutboxOff(n), Word(dest))
-	c.st.Put(c.layout.OutboxOff(n)+1, payload)
-	c.st.Put(c.layout.OutCountOff(), Word(n+1))
+	c.put(c.layout.OutboxOff(n), Word(dest))
+	c.put(c.layout.OutboxOff(n)+1, payload)
+	c.put(c.layout.OutCountOff(), Word(n+1))
 }
 
 // NumRecv returns the number of messages delivered by the previous
 // superstep.
-func (c *Ctx) NumRecv() int { return int(c.st.Load(c.layout.InCountOff())) }
+func (c *Ctx) NumRecv() int { return int(c.load(c.layout.InCountOff())) }
 
 // Recv returns received message k: its sender and payload. Messages are
 // ordered by ascending sender id (and send order within a sender) —
@@ -180,5 +195,5 @@ func (c *Ctx) Recv(k int) (src int, payload Word) {
 	if k < 0 || k >= n {
 		panic(fmt.Sprintf("dbsp: proc %d: Recv(%d) with %d messages", c.id, k, n))
 	}
-	return int(c.st.Load(c.layout.InboxOff(k))), c.st.Load(c.layout.InboxOff(k) + 1)
+	return int(c.load(c.layout.InboxOff(k))), c.load(c.layout.InboxOff(k) + 1)
 }

@@ -151,36 +151,3 @@ func verifyTranspose(prog *Program, ctxs [][]Word, st Superstep, lo, hi int) err
 	}
 	return nil
 }
-
-// procRunner is the reusable handler view of one shard: a store and a
-// Ctx that runProc rebinds to each processor the shard runs, so a
-// superstep allocates one runner per shard instead of a store and a Ctx
-// per processor. A runner is allocated inside its shard's task and
-// never shared: the store's ops counter is written on every Load and
-// Put, so runners packed side by side in one slice would false-share
-// cache lines across shards.
-type procRunner struct {
-	store sliceStore
-	ctx   Ctx
-}
-
-func newProcRunner(prog *Program, label int) *procRunner {
-	r := &procRunner{}
-	r.ctx = Ctx{st: &r.store, layout: prog.Layout, v: prog.V, label: label}
-	return r
-}
-
-// runProc executes the handler for processor p on the runner,
-// translating model violations (which Ctx reports by panicking) into
-// errors.
-func (r *procRunner) runProc(ctxs [][]Word, st Superstep, p int, ops *int64, errOut *error) {
-	defer func() {
-		if r := recover(); r != nil {
-			*errOut = fmt.Errorf("handler panic: %v", r)
-		}
-	}()
-	r.store = sliceStore{mem: ctxs[p]}
-	r.ctx.id = p
-	st.Run(&r.ctx)
-	*ops = r.store.ops
-}

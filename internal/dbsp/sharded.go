@@ -199,10 +199,10 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 	} else {
 		e.parallel(func(s int) {
 			lo, hi := e.span(s)
-			var r shardResult
-			r.tau, r.errProc, r.err = e.runHandlers(newProcRunner(e.prog, st.Label), st, lo, hi)
-			e.res[s] = r
-			if r.err == nil && !local {
+			c := e.newCtx(st.Label)
+			defer recoverHandler(c, &e.res[s])
+			e.res[s] = shardResult{tau: e.runHandlers(c, st, lo, hi)}
+			if !local {
 				e.collectShard(s)
 			}
 		})
@@ -227,24 +227,48 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 	return sc, nil
 }
 
+// newCtx returns the handler view of one shard task for a label
+// superstep, bound to no processor. A task allocates its own Ctx and
+// never shares it: ops is written on every Load and Put, so views
+// packed side by side in one slice would false-share cache lines
+// across shards.
+func (e *shardEngine) newCtx(label int) *Ctx {
+	return &Ctx{layout: e.prog.Layout, id: -1, v: e.prog.V, label: label}
+}
+
 // runHandlers runs the handlers of processors [lo, hi) in ascending
-// order on runner r and returns the max of their ops. On a handler
-// error it stops and returns the error with its processor. A handler
+// order on c and returns the max of their ops. While a handler runs,
+// c.id names its processor; between runs it is -1, which is how
+// recoverHandler tells a handler panic from an engine one. A handler
 // is the only reader of its inbox, so the inbox is cleared as soon as
 // the handler returns, while the context is still in cache; delivery
 // then needs no clearing pass of its own.
-func (e *shardEngine) runHandlers(r *procRunner, st Superstep, lo, hi int) (tau int64, errProc int, err error) {
+func (e *shardEngine) runHandlers(c *Ctx, st Superstep, lo, hi int) (tau int64) {
 	in := e.prog.Layout.InCountOff()
 	for p := lo; p < hi; p++ {
-		var ops int64
-		r.runProc(e.ctxs, st, p, &ops, &err)
-		if err != nil {
-			return tau, p, err
-		}
+		c.mem, c.ops, c.id = e.ctxs[p], 0, p
+		st.Run(c)
+		c.id = -1
 		e.ctxs[p][in] = 0
-		tau = max(tau, ops)
+		tau = max(tau, c.ops)
 	}
-	return tau, 0, nil
+	return tau
+}
+
+// recoverHandler is deferred once per shard task. It turns a panic
+// raised by the handler c is running — a model violation Ctx reports
+// by panicking, or a bug in the handler — into the task's handler
+// error, recorded in its result slot r. A panic raised while no
+// handler runs comes from the engine itself and is re-raised.
+func recoverHandler(c *Ctx, r *shardResult) {
+	x := recover()
+	if x == nil {
+		return
+	}
+	if c.id < 0 {
+		panic(x) //lint:ignore panicmsg an engine panic is re-raised unchanged, keeping its runtime error and message
+	}
+	*r = shardResult{errProc: c.id, err: fmt.Errorf("handler panic: %v", x)}
 }
 
 // runClusters is the fused cluster-local superstep for shard s. It
@@ -264,18 +288,14 @@ func (e *shardEngine) runHandlers(r *procRunner, st Superstep, lo, hi int) (tau 
 func (e *shardEngine) runClusters(s int, st Superstep, verify bool) {
 	lo, hi := e.span(s)
 	cs := ClusterSize(e.prog.V, st.Label)
-	run := newProcRunner(e.prog, st.Label)
+	c := e.newCtx(st.Label)
+	defer recoverHandler(c, &e.res[s])
 	dl := deliverer{l: e.prog.Layout, ctxs: e.ctxs}
 	var r shardResult
 	stopped := false
 	for clo := lo; clo < hi; clo += cs {
 		chi := clo + cs
-		tau, p, err := e.runHandlers(run, st, clo, chi)
-		r.tau = max(r.tau, tau)
-		if err != nil {
-			r.errProc, r.err = p, err
-			break
-		}
+		r.tau = max(r.tau, e.runHandlers(c, st, clo, chi))
 		if stopped {
 			continue
 		}
