@@ -1,9 +1,10 @@
 // Command dbsplint runs the repo's custom static-analysis suite
 // (internal/lint) over the module: the syntactic convention checks,
-// the dbspvet typed pass that verifies D-BSP program shape and
-// determinism, and the dataflow analyzers (sharesafe, lockdiscipline,
-// snapshotonly, bulkcharge) that prove the concurrency and bulk-charge
-// disciplines over per-function control-flow graphs. Findings print
+// the dbspvet typed pass that verifies D-BSP program shape, the
+// dataflow analyzers (sharesafe, lockdiscipline, snapshotonly,
+// bulkcharge) that prove the concurrency and bulk-charge disciplines
+// over per-function control-flow graphs, and the interprocedural
+// determinism and float-fold vet (detflow, floatfold). Findings print
 // one per line as
 //
 //	file:line: analyzer: message

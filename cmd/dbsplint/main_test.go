@@ -72,7 +72,7 @@ func TestFixtureTreeFails(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit %d, want 1:\n%s", code, out)
 	}
-	for _, analyzer := range []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "detseed", "costcharge",
+	for _, analyzer := range []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "costcharge",
 		"sharesafe", "lockdiscipline", "snapshotonly", "bulkcharge", "detflow", "floatfold"} {
 		if !strings.Contains(out, ": "+analyzer+": ") {
 			t.Errorf("no %s finding in output:\n%s", analyzer, out)
@@ -106,7 +106,7 @@ func TestListFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
-	for _, analyzer := range []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "detseed", "costcharge",
+	for _, analyzer := range []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "costcharge",
 		"sharesafe", "lockdiscipline", "snapshotonly", "bulkcharge", "detflow", "floatfold"} {
 		if !strings.Contains(out, analyzer) {
 			t.Errorf("-list missing %s:\n%s", analyzer, out)
@@ -192,7 +192,7 @@ func TestOnlyFilter(t *testing.T) {
 	if !strings.Contains(out, ": stepshape: ") {
 		t.Errorf("no stepshape finding:\n%s", out)
 	}
-	for _, other := range []string{"nilguard", "panicmsg", "detseed", "costcharge", "stepconfine"} {
+	for _, other := range []string{"nilguard", "panicmsg", "detflow", "costcharge", "stepconfine"} {
 		if strings.Contains(out, ": "+other+": ") {
 			t.Errorf("-only stepshape still ran %s:\n%s", other, out)
 		}
@@ -205,11 +205,11 @@ func TestSkipFilter(t *testing.T) {
 		t.Skip("builds and execs the binary")
 	}
 	fixtures := filepath.Join("..", "..", "internal", "lint", "testdata", "src")
-	out, code := runSelf(t, fixtures, "-skip", "stepshape,detseed", "./...")
+	out, code := runSelf(t, fixtures, "-skip", "stepshape,detflow", "./...")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1:\n%s", code, out)
 	}
-	for _, skipped := range []string{"stepshape", "detseed"} {
+	for _, skipped := range []string{"stepshape", "detflow"} {
 		if strings.Contains(out, ": "+skipped+": ") {
 			t.Errorf("-skip still ran %s:\n%s", skipped, out)
 		}
@@ -228,7 +228,7 @@ func TestUnknownAnalyzerExitsTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "nosuch", "./..."},
 		{"-skip", "nosuch", "./..."},
-		{"-only", "stepshape", "-skip", "detseed", "./..."},
+		{"-only", "stepshape", "-skip", "detflow", "./..."},
 	} {
 		out, code := runSelf(t, "..", args...)
 		if code != 2 {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/token"
+	"strconv"
 	"strings"
 )
 
@@ -12,9 +13,10 @@ import (
 // on a finding's line, or on the line directly above it, suppresses
 // that analyzer's findings there. The reason is mandatory — an
 // exemption without a recorded justification is itself a finding — and
-// directives are kept honest: one that names an analyzer in the running
+// directives are kept honest: one that names no analyzer of the suite
+// is reported as unknown, and one that names an analyzer in the running
 // suite but suppresses nothing is reported as stale, so dead ignores
-// cannot accumulate as the code underneath them changes.
+// cannot accumulate as the code or the roster underneath them changes.
 
 const directivePrefix = "//lint:ignore"
 
@@ -70,15 +72,19 @@ func suppressedAt(directives []*directive, pos token.Position, analyzer string) 
 }
 
 // applyDirectives filters findings through the //lint:ignore directives
-// and appends directive-hygiene findings (malformed directives always;
-// stale ones when their analyzer actually ran).
+// and appends directive-hygiene findings (malformed directives and
+// names outside the full Analyzers roster always; stale ones when their
+// analyzer actually ran).
 func applyDirectives(directives []*directive, analyzers []*Analyzer, findings []Finding) []Finding {
 	if len(directives) == 0 {
 		return findings
 	}
-	ran := map[string]bool{}
+	ran, known := map[string]bool{}, map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
+	}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
 	}
 	kept := findings[:0]
 	for _, f := range findings {
@@ -99,6 +105,9 @@ func applyDirectives(directives []*directive, analyzers []*Analyzer, findings []
 		case !d.ok:
 			kept = append(kept, Finding{Pos: d.pos, Analyzer: "directive",
 				Message: "malformed //lint:ignore: want \"//lint:ignore <analyzer> <reason>\" — the reason is mandatory"})
+		case !known[d.analyzer]:
+			kept = append(kept, Finding{Pos: d.pos, Analyzer: "directive",
+				Message: "//lint:ignore names unknown analyzer " + strconv.Quote(d.analyzer) + " (see dbsplint -list); it suppresses nothing, so fix the name or remove it"})
 		case !d.used && ran[d.analyzer]:
 			kept = append(kept, Finding{Pos: d.pos, Analyzer: "directive",
 				Message: "stale //lint:ignore " + d.analyzer + ": it suppresses nothing on this or the next line; remove it"})

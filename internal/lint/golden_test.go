@@ -24,12 +24,16 @@ var goldenWant = []string{
 	`internal/badconfine/badconfine.go:26: stepconfine: Run closure writes captured variable "log"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
 	`internal/badconfine/badconfine.go:39: stepconfine: Run closure writes captured variable "kept"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
 	"internal/baddetflow/baddetflow.go:35: detflow: argument to Emit is tainted by map-iteration order (baddetflow.go:31) and reaches printed output inside it (baddetflow.go:22): nondeterminism in output breaks the byte-identical sweep contract",
+	"internal/baddetflow/baddetflow.go:53: detflow: value tainted by a wall-clock reading (baddetflow.go:53) reaches the result of exported Uptime: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	"internal/baddetflow/baddetflow.go:58: detflow: value tainted by a wall-clock reading (baddetflow.go:53) via Uptime reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	"internal/baddetflow/baddetflow.go:68: detflow: argument to LogCost is tainted by a wall-clock reading (baddetflow.go:53) via Uptime and reaches printed output inside it (baddetflow.go:63): nondeterminism in output breaks the byte-identical sweep contract",
 	"internal/baddetflow/baddetflow.go:80: detflow: argument to LogPair is tainted by map-iteration order (baddetflow.go:79) and reaches printed output inside it (baddetflow.go:73): nondeterminism in output breaks the byte-identical sweep contract",
 	"internal/baddetflow/baddetflow.go:80: detflow: call to LogPair, which emits output (fmt.Printf at baddetflow.go:73), inside a map range: records land in randomized iteration order; iterate sorted keys instead",
 	"internal/baddetflow/baddetflow.go:93: detflow: value tainted by select scheduling order (baddetflow.go:89) reaches an error string (golden files compare these): nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
+	"internal/baddetflow/send.go:18: detflow: argument to sendTo is tainted by map-iteration order (send.go:17) and reaches a dbsp message send inside it (send.go:11): nondeterminism in output breaks the byte-identical sweep contract",
+	"internal/baddetflow/send.go:18: detflow: call to sendTo, which emits output (Send at send.go:11), inside a map range: records land in randomized iteration order; iterate sorted keys instead",
 	"internal/badfold/badfold.go:17: detflow: value tainted by map-iteration order (badfold.go:16) reaches a float64 cost accumulation: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
+	"internal/badfold/badfold.go:17: detflow: value tainted by map-iteration order (badfold.go:16) reaches the result of exported SumMap: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	`internal/badfold/badfold.go:17: floatfold: float64 accumulation into "sum" inside a map-range body: iteration order is randomized, so this fold can reassociate run to run; fold over a sorted order or collect per-key partials (engineLoop is the sanctioned single-chain fold)`,
 	`internal/badfold/badfold.go:51: floatfold: float64 accumulation into captured "total" from a goroutine: workers fold in completion order, which reassociates the sum; accumulate per-worker partials and merge them in a fixed order`,
 	`internal/badfold/badfold.go:55: floatfold: float64 accumulation into captured "total" from a goroutine: workers fold in completion order, which reassociates the sum; accumulate per-worker partials and merge them in a fixed order`,
@@ -43,12 +47,13 @@ var goldenWant = []string{
 	`internal/badpanic/badpanic.go:16: panicmsg: panic argument must be a "badpanic: "-prefixed message (string literal, "badpanic: " + ..., or fmt.Sprintf/Errorf with a prefixed format); got a value the linter cannot see a prefix in`,
 	`internal/badpanic/badpanic.go:19: panicmsg: panic message "other: wrong prefix %d" must start with the package prefix "badpanic: "`,
 	`internal/badseed/badseed.go:19: directive: malformed //lint:ignore: want "//lint:ignore <analyzer> <reason>" — the reason is mandatory`,
-	"internal/badseed/badseed.go:21: detseed: time.Now in internal/ breaks run-to-run determinism; derive timing-free logic from seeds (or //lint:ignore detseed for pure duration measurement)",
-	"internal/badseed/badseed.go:26: detseed: global rand.Intn draws from the shared process-wide source; use rand.New(rand.NewSource(seed)) with a sweep-derived seed so results are reproducible",
+	"internal/badseed/badseed.go:21: detflow: value tainted by a wall-clock reading (badseed.go:21) reaches the result of exported Stamp: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
+	"internal/badseed/badseed.go:26: detflow: value tainted by a global math/rand draw (badseed.go:26) reaches the result of exported Draw: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	"internal/badseed/badseed.go:38: detflow: value tainted by map-iteration order (badseed.go:37) reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
-	"internal/badseed/badseed.go:38: detseed: printing inside a map range emits lines in randomized iteration order; collect and sort first",
-	"internal/badseed/badseed.go:45: detseed: Send inside a map range: message order follows Go's randomized map iteration; iterate a sorted key slice instead",
-	`internal/badseed/badseed.go:53: detseed: append to "out" inside a map range produces randomized element order; sort it afterwards or iterate sorted keys`,
+	"internal/badseed/badseed.go:38: detflow: fmt.Println inside a map range: records land in randomized iteration order; iterate sorted keys instead",
+	"internal/badseed/badseed.go:45: detflow: value tainted by map-iteration order (badseed.go:44) reaches a dbsp message send: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
+	"internal/badseed/badseed.go:45: detflow: Send inside a map range: records land in randomized iteration order; iterate sorted keys instead",
+	"internal/badseed/badseed.go:53: detflow: value tainted by map-iteration order (badseed.go:52) reaches the result of exported Keys: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	`internal/badshare/badshare.go:32: sharesafe: "jobs" was captured by a goroutine's closure at line 26; writing it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
 	`internal/badshare/badshare.go:40: sharesafe: "buf" was sent over a channel at line 39; writing through it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
 	`internal/badshare/badshare.go:48: sharesafe: "scale" was captured by a closure sent over a channel at line 47; writing it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,

@@ -298,3 +298,31 @@ func Dump(w io.Writer, costs map[string]int) {
 		}
 	}
 }
+
+// TestDirectiveUnknownAnalyzer: a directive naming no analyzer of the
+// roster — a typo, or a leftover from a deleted analyzer — is reported
+// even when the run is narrowed, because the stale check only audits
+// names that ran. A roster name outside the narrowed run stays silent.
+func TestDirectiveUnknownAnalyzer(t *testing.T) {
+	pkgs := loadTemp(t, map[string]string{
+		"internal/u/u.go": `package u
+
+import "time"
+
+var epoch time.Time
+
+func since() time.Duration {
+	//lint:ignore detseed leftover from a deleted analyzer
+	return time.Since(epoch)
+}
+
+//lint:ignore nilguard not in this run, so neither stale nor unknown
+func quiet() {}
+`,
+	})
+	findings := Run(pkgs, []*Analyzer{DetFlow})
+	if len(findings) != 1 || findings[0].Analyzer != "directive" ||
+		findings[0].Pos.Line != 8 || !strings.Contains(findings[0].Message, `unknown analyzer "detseed"`) {
+		t.Fatalf("findings %v, want one unknown-analyzer directive finding at line 8", findings)
+	}
+}

@@ -358,10 +358,14 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 		return obj != nil && pkg.Types != nil && obj.Parent() == pkg.Types.Scope()
 	}
 
-	// addTaint attaches facts to obj, applying the sort kill: order
-	// facts never attach to a variable that is sorted somewhere in
-	// this function (the collect-then-sort idiom).
-	addTaint := func(obj types.Object, facts factSet) bool {
+	// taintedAt is where each variable first took on a non-parameter
+	// fact: the line an exported-result finding points at.
+	taintedAt := map[types.Object]token.Pos{}
+
+	// addTaint attaches facts to obj at pos, applying the sort kill:
+	// order facts never attach to a variable that is sorted somewhere
+	// in this function (the collect-then-sort idiom).
+	addTaint := func(obj types.Object, pos token.Pos, facts factSet) bool {
 		if obj == nil || len(facts) == 0 {
 			return false
 		}
@@ -377,6 +381,9 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 			}
 			if t.add(f) {
 				changed = true
+				if _, ok := taintedAt[obj]; !ok && f.kind != SrcParam {
+					taintedAt[obj] = pos
+				}
 			}
 		}
 		return changed
@@ -384,6 +391,13 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 
 	var eval func(e ast.Expr) factSet
 	var evalCall func(call *ast.CallExpr) factSet
+
+	// leak reports source fact f reaching the escaping position desc.
+	leak := func(pos token.Pos, f fact, desc string) {
+		reportDet(pos,
+			"value tainted by %s reaches %s: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
+			f.describe(), desc)
+	}
 
 	// sinkArgs checks call arguments against a sink: source facts
 	// become detflow findings, parameter facts become ParamToSink.
@@ -396,9 +410,7 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 					}
 					continue
 				}
-				reportDet(pos,
-					"value tainted by %s reaches %s: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
-					f.describe(), desc)
+				leak(pos, f, desc)
 			}
 		}
 	}
@@ -408,6 +420,37 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 	markEmits := func(pos token.Pos, desc string) {
 		if sum.Emits == nil && !suppressedAt(directives, fset.Position(pos), "detflow") {
 			sum.Emits = &sinkUse{desc: desc, pos: fset.Position(pos)}
+		}
+	}
+	// emitAt handles one direct ordered-output write: the function
+	// emits, and a write inside a map range lands in randomized
+	// iteration order whatever values it carries.
+	emitAt := func(pos token.Pos, desc string) {
+		markEmits(pos, desc)
+		if fr := orderCtx(); fr != nil && fr.kind == ctxMapRange {
+			reportDet(pos,
+				"%s inside a map range: records land in randomized iteration order; iterate sorted keys instead", desc)
+		}
+	}
+	// returned records the facts a result carries: parameter facts as
+	// ParamToResult, source facts in Results. An exported function's
+	// result escapes the package, so a source fact there is a finding,
+	// placed where the returned variable took the taint.
+	returned := func(pos token.Pos, r ast.Expr, facts factSet) {
+		if id, ok := ast.Unparen(r).(*ast.Ident); ok {
+			if at, ok := taintedAt[objectOf(pkg, id)]; ok {
+				pos = at
+			}
+		}
+		for _, f := range facts {
+			if f.kind == SrcParam {
+				sum.ParamToResult[f.param] = true
+				continue
+			}
+			sum.Results.add(f)
+			if node.Fn.Exported() {
+				leak(pos, f, "the result of exported "+node.Fn.Name())
+			}
 		}
 	}
 	// markAccum records a caller-visible float accumulation owned by
@@ -563,6 +606,11 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 
 	evalCall = func(call *ast.CallExpr) factSet {
 		out := factSet{}
+		if isCtxSend(pkg, call) {
+			sinkArgs(call.Pos(), "a dbsp message send", call.Args)
+			emitAt(call.Pos(), "Send")
+			return out
+		}
 		if tgts := targets[call]; len(tgts) > 0 {
 			for _, t := range tgts {
 				moduleCall(call, t, out)
@@ -590,14 +638,7 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 				return out
 			case path == "fmt" && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")):
 				sinkArgs(call.Pos(), "printed output", call.Args)
-				markEmits(call.Pos(), "fmt."+name)
-				if fr := orderCtx(); fr != nil && fr.kind == ctxMapRange &&
-					!strings.Contains(pkg.Path, "internal/") {
-					// detseed owns this shape in internal/ packages;
-					// detflow extends it to cmd/* and the rest.
-					reportDet(call.Pos(),
-						"fmt.%s inside a map range emits lines in randomized iteration order; collect and sort first", name)
-				}
+				emitAt(call.Pos(), "fmt."+name)
 				return out
 			case path == "fmt" && name == "Errorf", path == "errors" && name == "New":
 				sinkArgs(call.Pos(), "an error string (golden files compare these)", call.Args)
@@ -629,7 +670,7 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 				// Byte-stream sinks on out-of-module values (json
 				// encoders, io.Writers) — name-based, see caveats.
 				sinkArgs(call.Pos(), "byte-stream output ("+sel.Sel.Name+")", call.Args)
-				markEmits(call.Pos(), sel.Sel.Name)
+				emitAt(call.Pos(), sel.Sel.Name)
 				return out
 			}
 			// Unknown method: propagate receiver and argument taint
@@ -793,7 +834,7 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 			}
 			// Plain = would kill the old facts under a flow-sensitive
 			// scheme; flow-insensitivity keeps the union (sound).
-			addTaint(obj, facts)
+			addTaint(obj, x.Pos(), facts)
 		}
 	}
 
@@ -824,7 +865,7 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 			} else {
 				for _, e := range []ast.Expr{x.Key, x.Value} {
 					if id, ok := e.(*ast.Ident); ok {
-						addTaint(objectOf(pkg, id), elemFacts)
+						addTaint(objectOf(pkg, id), x.Pos(), elemFacts)
 					}
 				}
 				ast.Inspect(x.X, walk)
@@ -833,7 +874,7 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 			}
 			for _, e := range []ast.Expr{x.Key, x.Value} {
 				if id, ok := e.(*ast.Ident); ok {
-					addTaint(objectOf(pkg, id), elemFacts)
+					addTaint(objectOf(pkg, id), x.Pos(), elemFacts)
 				}
 			}
 			ast.Inspect(x.X, walk)
@@ -858,7 +899,7 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 						if asg, ok := c.Comm.(*ast.AssignStmt); ok {
 							for _, lhs := range asg.Lhs {
 								if id, ok := lhs.(*ast.Ident); ok {
-									addTaint(objectOf(pkg, id), factSet{"": {kind: SrcSelOrder, pos: p}})
+									addTaint(objectOf(pkg, id), x.Pos(), factSet{"": {kind: SrcSelOrder, pos: p}})
 								}
 							}
 						}
@@ -913,7 +954,7 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 				} else if i < len(x.Values) {
 					facts = eval(x.Values[i])
 				}
-				addTaint(objectOf(pkg, nm), facts)
+				addTaint(objectOf(pkg, nm), nm.Pos(), facts)
 			}
 			return true
 		case *ast.ReturnStmt:
@@ -926,26 +967,14 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 				if node.Decl.Type.Results != nil {
 					for _, f := range node.Decl.Type.Results.List {
 						for _, nm := range f.Names {
-							for _, fa := range taint[objectOf(pkg, nm)] {
-								if fa.kind == SrcParam {
-									sum.ParamToResult[fa.param] = true
-								} else {
-									sum.Results.add(fa)
-								}
-							}
+							returned(x.Pos(), nm, taint[objectOf(pkg, nm)])
 						}
 					}
 				}
 				return true
 			}
 			for _, r := range x.Results {
-				for _, f := range eval(r) {
-					if f.kind == SrcParam {
-						sum.ParamToResult[f.param] = true
-					} else {
-						sum.Results.add(f)
-					}
-				}
+				returned(x.Pos(), r, eval(r))
 			}
 			return true
 		case *ast.CallExpr:
@@ -975,6 +1004,37 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 	sort.Slice(det, func(i, j int) bool { return det[i].pos < det[j].pos })
 	sort.Slice(fold, func(i, j int) bool { return fold[i].pos < fold[j].pos })
 	return sum, det, fold
+}
+
+// isCtxSend reports whether call is (*dbsp.Ctx).Send: a D-BSP message
+// send, whose queue order the simulators replay.
+func isCtxSend(pkg *Package, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Send" && isTypeNamed(pkg.Info.TypeOf(sel.X), "internal/dbsp", "Ctx")
+}
+
+// isMapRange reports whether the range statement iterates a map.
+func isMapRange(p *Package, rng *ast.RangeStmt) bool {
+	t := p.Info.TypeOf(rng.X)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// globalRandFuncs are the math/rand and math/rand/v2 package-level
+// functions that draw from the shared global source. Constructors
+// (New, NewSource, NewPCG, NewChaCha8, NewZipf) are the approved
+// deterministic path and are absent.
+var globalRandFuncs = map[string]bool{
+	"Seed": true, "Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Read": true,
+	// v2 spellings
+	"N": true, "IntN": true, "Int32": true, "Int32N": true,
+	"Int64N": true, "UintN": true, "Uint": true, "Uint32N": true, "Uint64N": true,
 }
 
 func taintSize(taint map[types.Object]factSet) int {

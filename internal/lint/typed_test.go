@@ -92,7 +92,7 @@ var S = a.Name + "compute"
 // TestTypeCheckFakeImports: an out-of-module import resolves to a
 // placeholder package, but the import reference itself still yields the
 // real path through *types.PkgName — even behind an alias. That is the
-// property detseed's time.Now / rand.Intn detection rests on.
+// property detflow's time.Now / rand.Intn source detection rests on.
 func TestTypeCheckFakeImports(t *testing.T) {
 	pkgs := loadTemp(t, map[string]string{
 		"c/c.go": `package c
@@ -180,20 +180,20 @@ import "time"
 
 // Stamp is exempted with a recorded justification.
 func Stamp() int64 {
-	//lint:ignore detseed test fixture justification
+	//lint:ignore detflow test fixture justification
 	return time.Now().UnixNano()
 }
 
-//lint:ignore detseed
+//lint:ignore detflow
 func Bare() int64 {
 	return time.Now().UnixNano()
 }
 
-//lint:ignore detseed nothing here uses the clock
+//lint:ignore detflow nothing here uses the clock
 func Quiet() int { return 0 }
 `,
 	})
-	findings := Run(pkgs, []*Analyzer{DetSeed})
+	findings := Run(pkgs, []*Analyzer{DetFlow})
 
 	var got []string
 	for _, f := range findings {
@@ -202,19 +202,19 @@ func Quiet() int { return 0 }
 	// Expect: the Bare time.Now finding survives (its directive is
 	// malformed), plus one malformed-directive and one stale-directive
 	// hygiene finding. The Stamp finding must be suppressed.
-	var detseed, malformed, stale int
+	var detflow, malformed, stale int
 	for _, f := range findings {
 		switch {
-		case f.Analyzer == "detseed":
-			detseed++
+		case f.Analyzer == "detflow":
+			detflow++
 		case f.Analyzer == "directive" && strings.Contains(f.Message, "malformed"):
 			malformed++
 		case f.Analyzer == "directive" && strings.Contains(f.Message, "stale"):
 			stale++
 		}
 	}
-	if detseed != 1 || malformed != 1 || stale != 1 {
-		t.Errorf("findings:\n  %s\nwant one surviving detseed, one malformed, one stale",
+	if detflow != 1 || malformed != 1 || stale != 1 {
+		t.Errorf("findings:\n  %s\nwant one surviving detflow, one malformed, one stale",
 			strings.Join(got, "\n  "))
 	}
 }

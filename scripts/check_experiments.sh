@@ -70,7 +70,9 @@ print(f"lint findings: total: {len(findings)} across {len(roster)} analyzers")
 if findings or sys.argv[2] != "0":
     sys.stderr.write("lint gate FAILED: fix the findings above or justify each with //lint:ignore <analyzer> <reason>\n")
     sys.exit(1)
-if len(roster) < 13:
-    sys.stderr.write(f"lint gate FAILED: -list shows {len(roster)} analyzers, expected at least 13 — did an analyzer fall off the roster?\n")
+expected = ["nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "costcharge",
+            "sharesafe", "lockdiscipline", "snapshotonly", "bulkcharge", "detflow", "floatfold"]
+if roster != expected:
+    sys.stderr.write(f"lint gate FAILED: -list shows {roster}, expected {expected} — an analyzer fell off, was added or was reordered; update this list with the roster\n")
     sys.exit(1)
 PYEOF
